@@ -1,59 +1,55 @@
-// Sweep-throughput benchmark: legacy vs. fast vs. counts synthesis, with
-// a JSON artifact so the perf trajectory is tracked from PR 2 onward.
+// Sweep-throughput benchmark: packet vs. counts synthesis, the analytic
+// expected path, and store replay, with a JSON artifact so the perf
+// trajectory is tracked over time.
 //
 // Timing TU (tools/timing_files.txt): steady_clock reads time the paths;
 // the sweeps themselves are seed-driven and stay reproducible.
 //
-// Runs the same Monte-Carlo window sweep four ways — the legacy
-// per-window SparseCountMatrix path, the WindowAccumulator fast path, the
-// count-space Multinomial path, and store replay (capture the counts
-// ensemble once, then re-drive the sweep from decoded blocks) — verifies
-// that legacy and fast merged
-// histograms are identical (they share RNG consumption) and that a
-// count-space window conserves packet mass exactly, then writes
-// BENCH_sweep.json:
+// Runs the same Monte-Carlo window sweep three ways — the packet path
+// (WindowAccumulator, batched packet draws), the count-space Multinomial
+// path, and store replay (capture the counts ensemble once, then re-drive
+// the sweep from decoded blocks) — plus the analytic expected-window
+// evaluation, verifies that a count-space window conserves packet mass
+// exactly, that the expected mass sums to 1 and that replay reproduces
+// the capturing sweep, then writes BENCH_sweep.json:
 //
 //   {
 //     "bench": "sweep",
 //     "config": {"windows", "nvalid", "nodes", "edges", "quantity",
-//                "seed", "pool_threads"},
-//     "legacy": {"seconds", "packets_per_sec",
+//                "seed", "nproc", "pool_threads"},
+//     "fast":   {"seconds", "packets_per_sec",
 //                "timings_cpu_ns": {"sampling", "accumulation", "binning"},
 //                "timings_max_ns": {... slowest worker ...},
 //                "metrics": {... obs registry snapshot for the run ...}},
-//     "fast":   {... same shape ...},
 //     "counts": {... same shape ...},
-//     "speedup": fast.packets_per_sec / legacy.packets_per_sec,
 //     "speedup_counts_vs_fast": counts pps / fast pps,
-//     "speedup_counts_vs_legacy": counts pps / legacy pps,
-//     "identical": true|false,           // legacy vs fast only
 //     "counts_mass_conserved": true|false,
 //     "scaling": {"windows", "points": [{"nvalid", "seconds_per_window"}],
 //                 "ratios": [per-decade cost growth of the counts path]},
-//     "shards": {"identical": true|false,   // every K byte-identical to K=1
-//                "points": [{"shards", "seconds"}]},  // intra-window axis
 //     "expected": {"points": [{"nvalid", "seconds_per_eval"}],
 //                  "ratios": [...],   // flat ⇒ analytic cost is N_V-free
 //                  "counts_sweep_seconds_over_expected_eval": X},
-//     "replay": {... same shape as legacy/fast/counts ...},
+//     "replay": {... same shape as fast/counts ...},
 //     "replay_store": {"windows", "records", "payload_bytes", "file_bytes",
 //                      "payload_bytes_per_record", "bytes_per_window",
 //                      "capture_seconds"},
 //     "speedup_synthesis_vs_replay_per_window": X,  // stage cost replaced
 //     "speedup_replay_vs_counts": X,   // whole-sweep wall ratio
-//     "replay_identical": true|false   // replay (shards 1 and 4) vs capture
+//     "replay_identical": true|false   // replay vs capture
 //   }
 //
 // Each run records into its own obs::Registry, so the metrics block is
 // per-run (not cumulative across paths).  The counts path consumes RNG
 // differently, so it is held to distributional equivalence (tested in
-// sweep_counts_test) plus the exact mass check here, not byte identity.
+// sweep_counts_test) plus the exact mass check here, not byte identity;
+// the packet path's exact output is pinned by golden digests in the test
+// suite.
 //
 // Default config is the acceptance workload (64 windows × 1e6 packets);
 // `--smoke` shrinks it to seconds so ctest can keep the binary honest,
-// `--counts-only` skips the slow packet paths (the counts smoke ctest),
-// `--expected-only` runs just the analytic expectation axis (the
-// expected smoke ctest), and `--replay-only` runs just the capture →
+// `--counts-only` skips the packet path and the replay axis (the counts
+// smoke ctest), `--expected-only` runs just the analytic expectation axis
+// (the expected smoke ctest), and `--replay-only` runs just the capture →
 // replay axis (the replay smoke ctest).  Exit code is non-zero on any
 // check failure.
 #include <chrono>
@@ -62,6 +58,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "palu/cli/args.hpp"
@@ -71,55 +68,46 @@ namespace {
 
 using namespace palu;
 
-enum class Path { kLegacy, kFast, kCounts, kExpected };
-
 struct RunResult {
   double seconds = 0.0;
   double packets_per_sec = 0.0;
   traffic::SweepStageTimings timings;
   stats::DegreeHistogram merged;
   std::string metrics_json;  // this run's registry, already serialized
-  double expected_mass_total = -1.0;  // kExpected only: Σ mass (≈ 1)
 };
 
-RunResult run_sweep(const graph::Graph& g, Count n_valid,
-                    std::size_t windows, traffic::Quantity quantity,
-                    std::uint64_t seed, ThreadPool& pool, Path path,
-                    std::size_t shards = 1,
-                    traffic::WindowCaptureSink* capture = nullptr) {
+template <typename Sweep>
+RunResult timed_sweep(Count n_valid, std::size_t windows, Sweep&& sweep) {
   obs::Registry registry;
   traffic::SweepOptions opts;
-  opts.fast_path = path != Path::kLegacy;
-  if (path == Path::kCounts) {
-    opts.synthesis = traffic::SynthesisMode::kMultinomial;
-  }
-  if (path == Path::kExpected) {
-    opts.synthesis = traffic::SynthesisMode::kExpected;
-  }
-  if (shards > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
-    opts.shards_per_window = shards;
-  }
   opts.metrics = &registry;
-  opts.capture = capture;
   const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = traffic::sweep_windows(g, traffic::RateModel{}, n_valid,
-                                      windows, quantity, seed, pool, opts);
+  traffic::WindowSweepResult result = sweep(opts);
   const auto t1 = std::chrono::steady_clock::now();
   RunResult out;
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
   out.packets_per_sec =
       static_cast<double>(n_valid) * static_cast<double>(windows) /
       out.seconds;
-  out.timings = sweep.timings;
-  out.merged = std::move(sweep.merged);
-  if (sweep.expected) {
-    out.expected_mass_total = sweep.expected->mass.total_mass();
-  }
+  out.timings = result.timings;
+  out.merged = std::move(result.merged);
   std::ostringstream metrics;
   obs::write_json(metrics, registry.snapshot());
   out.metrics_json = std::move(metrics).str();
   return out;
+}
+
+RunResult run_sweep(const graph::Graph& g, Count n_valid,
+                    std::size_t windows, traffic::Quantity quantity,
+                    std::uint64_t seed, ThreadPool& pool,
+                    traffic::SynthesisMode synthesis,
+                    traffic::WindowCaptureSink* capture = nullptr) {
+  return timed_sweep(n_valid, windows, [&](traffic::SweepOptions& opts) {
+    opts.synthesis = synthesis;
+    opts.capture = capture;
+    return traffic::sweep_windows(g, traffic::RateModel{}, n_valid, windows,
+                                  quantity, seed, pool, opts);
+  });
 }
 
 // Replay axis (PR 10): the same stage graph driven from a window store —
@@ -128,28 +116,10 @@ RunResult run_sweep(const graph::Graph& g, Count n_valid,
 // byte-identical to the capturing sweep.
 RunResult run_replay(store::WindowStoreReader& reader, std::size_t windows,
                      Count n_valid, traffic::Quantity quantity,
-                     ThreadPool& pool, std::size_t shards = 1) {
-  obs::Registry registry;
-  traffic::SweepOptions opts;
-  if (shards > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
-    opts.shards_per_window = shards;
-  }
-  opts.metrics = &registry;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sweep = traffic::sweep_windows(reader, windows, quantity, pool, opts);
-  const auto t1 = std::chrono::steady_clock::now();
-  RunResult out;
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.packets_per_sec =
-      static_cast<double>(n_valid) * static_cast<double>(windows) /
-      out.seconds;
-  out.timings = sweep.timings;
-  out.merged = std::move(sweep.merged);
-  std::ostringstream metrics;
-  obs::write_json(metrics, registry.snapshot());
-  out.metrics_json = std::move(metrics).str();
-  return out;
+                     ThreadPool& pool) {
+  return timed_sweep(n_valid, windows, [&](traffic::SweepOptions& opts) {
+    return traffic::sweep_windows(reader, windows, quantity, pool, opts);
+  });
 }
 
 // One count-space window drawn directly: Σ (forward + backward) must equal
@@ -225,11 +195,12 @@ int main(int argc, char** argv) {
   const auto quantity = traffic::Quantity::kUndirectedDegree;
   ThreadPool pool;  // default: one worker per hardware thread
 
+  const unsigned nproc = std::thread::hardware_concurrency();
   std::printf("bench_sweep: %zu windows x %llu packets, %llu nodes, "
-              "%zu edges, %zu pool threads\n",
+              "%zu edges, nproc %u, %zu pool threads\n",
               windows, static_cast<unsigned long long>(n_valid),
               static_cast<unsigned long long>(net.graph.num_nodes()),
-              net.graph.num_edges(), pool.size());
+              net.graph.num_edges(), nproc, pool.size());
 
   const bool mass_ok = expected_only || replay_only ||
                        counts_mass_conserved(net.graph, n_valid, seed);
@@ -237,17 +208,10 @@ int main(int argc, char** argv) {
     std::printf("counts mass conservation: %s\n", mass_ok ? "ok" : "FAIL");
   }
 
-  RunResult legacy, fast;
-  bool identical = true;
+  RunResult fast;
   if (!counts_only) {
-    legacy = run_sweep(net.graph, n_valid, windows, quantity, seed, pool,
-                       Path::kLegacy);
     fast = run_sweep(net.graph, n_valid, windows, quantity, seed, pool,
-                     Path::kFast);
-    identical = legacy.merged.sorted() == fast.merged.sorted() &&
-                legacy.merged.total() == fast.merged.total();
-    std::printf("legacy: %.3fs (%.2fM packets/s)\n", legacy.seconds,
-                legacy.packets_per_sec / 1e6);
+                     traffic::SynthesisMode::kPacket);
     std::printf("fast:   %.3fs (%.2fM packets/s)\n", fast.seconds,
                 fast.packets_per_sec / 1e6);
   }
@@ -260,12 +224,9 @@ int main(int argc, char** argv) {
   bool counts_sane = true;
   std::vector<double> per_window;
   std::vector<double> ratios;
-  const std::vector<std::size_t> shard_counts = {1, 2, 4};
-  std::vector<double> shard_seconds;
-  bool shards_identical = true;
   if (!expected_only && !replay_only) {
     counts = run_sweep(net.graph, n_valid, windows, quantity, seed, pool,
-                       Path::kCounts);
+                       traffic::SynthesisMode::kMultinomial);
     std::printf("counts: %.3fs (%.2fM packets/s)\n", counts.seconds,
                 counts.packets_per_sec / 1e6);
     counts_sane = counts.merged.total() > 0;
@@ -274,8 +235,9 @@ int main(int argc, char** argv) {
     // of count-space synthesis is that this curve is nearly flat per
     // decade).
     for (const Count nv : scaling_nvalid) {
-      const RunResult r = run_sweep(net.graph, nv, scaling_windows,
-                                    quantity, seed, pool, Path::kCounts);
+      const RunResult r =
+          run_sweep(net.graph, nv, scaling_windows, quantity, seed, pool,
+                    traffic::SynthesisMode::kMultinomial);
       per_window.push_back(r.seconds /
                            static_cast<double>(scaling_windows));
       std::printf("counts scaling: nvalid=%llu %.2fms/window\n",
@@ -288,23 +250,6 @@ int main(int argc, char** argv) {
                   ratios.back());
     }
 
-    // Intra-window shard axis (PR 7): the counts sweep re-run with the
-    // window's accumulation partitioned across K sub-accumulators.
-    // Sharding must be a pure re-association — every K produces the
-    // byte-identical merged histogram — so the axis records only where
-    // the time goes.
-    for (const std::size_t k : shard_counts) {
-      const RunResult r = run_sweep(net.graph, n_valid, windows, quantity,
-                                    seed, pool, Path::kCounts, k);
-      shard_seconds.push_back(r.seconds);
-      if (r.merged.sorted() != counts.merged.sorted() ||
-          r.merged.total() != counts.merged.total()) {
-        shards_identical = false;
-      }
-      std::printf("counts shards=%zu: %.3fs (%.2fM packets/s)%s\n", k,
-                  r.seconds, r.packets_per_sec / 1e6,
-                  shards_identical ? "" : "  DIVERGED");
-    }
   }
 
   // Expected (analytic) axis (PR 9): one deterministic evaluation per
@@ -316,15 +261,18 @@ int main(int argc, char** argv) {
   bool expected_sane = true;
   if (!replay_only) {
     for (const Count nv : scaling_nvalid) {
-      const RunResult r = run_sweep(net.graph, nv, 1, quantity, seed, pool,
-                                    Path::kExpected);
-      expected_per_eval.push_back(r.seconds);
-      if (std::abs(r.expected_mass_total - 1.0) > 1e-9) {
-        expected_sane = false;
-      }
+      obs::Registry registry;
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto win = traffic::evaluate_expected_window(
+          net.graph, traffic::RateModel{}, nv, quantity, seed, &registry);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+      expected_per_eval.push_back(seconds);
+      const double mass = win.mass.total_mass();
+      if (std::abs(mass - 1.0) > 1e-9) expected_sane = false;
       std::printf("expected: nvalid=%llu %.2fms/eval (mass=%.9f)\n",
-                  static_cast<unsigned long long>(nv), r.seconds * 1e3,
-                  r.expected_mass_total);
+                  static_cast<unsigned long long>(nv), seconds * 1e3, mass);
     }
     for (std::size_t i = 1; i < expected_per_eval.size(); ++i) {
       expected_ratios.push_back(expected_per_eval[i] /
@@ -348,8 +296,8 @@ int main(int argc, char** argv) {
 
   // Replay axis (PR 10): capture the counts ensemble once into a window
   // store, then drive the same sweep from the store — block read + varint
-  // decode replaces synthesis.  Replay (shards 1 and 4) must reproduce
-  // the capturing sweep byte-identically, and the store must stay under
+  // decode replaces synthesis.  Replay must reproduce the capturing
+  // sweep byte-identically, and the store must stay under
   // 8 payload bytes per (pair, count) record.
   RunResult captured, replay;
   store::WindowStoreWriter::Stats wstats;
@@ -365,7 +313,8 @@ int main(int argc, char** argv) {
     {
       store::WindowStoreWriter writer(store_dir, wopts);
       captured = run_sweep(net.graph, n_valid, windows, quantity, seed,
-                           pool, Path::kCounts, 1, &writer);
+                           pool, traffic::SynthesisMode::kMultinomial,
+                           &writer);
       writer.finish();
       wstats = writer.stats();
     }
@@ -383,13 +332,9 @@ int main(int argc, char** argv) {
 
     store::WindowStoreReader reader(store_dir);
     replay = run_replay(reader, windows, n_valid, quantity, pool);
-    const RunResult sharded =
-        run_replay(reader, windows, n_valid, quantity, pool, 4);
     replay_identical =
         replay.merged.sorted() == captured.merged.sorted() &&
-        replay.merged.total() == captured.merged.total() &&
-        sharded.merged.sorted() == captured.merged.sorted() &&
-        sharded.merged.total() == captured.merged.total();
+        replay.merged.total() == captured.merged.total();
     // The per-window acceptance ratio: what synthesis costs to produce a
     // window's records (the counts path's sampling stage) vs. what replay
     // pays instead (block read + checksum + decode, accounted in the same
@@ -404,10 +349,10 @@ int main(int argc, char** argv) {
     replay_sweep_ratio = synth.seconds / replay.seconds;
     const double sweep_ratio = replay_sweep_ratio;
     std::printf("replay: %.3fs (%.2fM packets/s, %.2fms/window), "
-                "shards=4: %.3fs, identical: %s\n",
+                "identical: %s\n",
                 replay.seconds, replay.packets_per_sec / 1e6,
                 replay.seconds / static_cast<double>(windows) * 1e3,
-                sharded.seconds, replay_identical ? "true" : "false");
+                replay_identical ? "true" : "false");
     std::printf("per-window synthesis %.2fms vs replay read %.2fms: "
                 "%.1fx (whole sweep: %.1fx)\n",
                 static_cast<double>(synth.timings.sampling_cpu_ns) / 1e6 /
@@ -418,15 +363,9 @@ int main(int argc, char** argv) {
   }
 
   if (!counts_only) {
-    const double speedup = fast.packets_per_sec / legacy.packets_per_sec;
     const double counts_vs_fast =
         counts.packets_per_sec / fast.packets_per_sec;
-    const double counts_vs_legacy =
-        counts.packets_per_sec / legacy.packets_per_sec;
-    std::printf("speedup fast/legacy: %.2fx, counts/fast: %.2fx, "
-                "counts/legacy: %.2fx, identical: %s\n",
-                speedup, counts_vs_fast, counts_vs_legacy,
-                identical ? "true" : "false");
+    std::printf("speedup counts/fast: %.2fx\n", counts_vs_fast);
 
     std::ofstream out(out_path);
     if (!out) {
@@ -438,14 +377,11 @@ int main(int argc, char** argv) {
         << ", \"nvalid\": " << n_valid << ", \"nodes\": " << nodes
         << ", \"edges\": " << net.graph.num_edges() << ", \"quantity\": \""
         << traffic::quantity_name(quantity) << "\", \"seed\": " << seed
-        << ", \"pool_threads\": " << pool.size() << "},\n";
-    write_run_json(out, "legacy", legacy);
+        << ", \"nproc\": " << nproc << ", \"pool_threads\": " << pool.size()
+        << "},\n";
     write_run_json(out, "fast", fast);
     write_run_json(out, "counts", counts);
-    out << "  \"speedup\": " << speedup << ",\n";
     out << "  \"speedup_counts_vs_fast\": " << counts_vs_fast << ",\n";
-    out << "  \"speedup_counts_vs_legacy\": " << counts_vs_legacy << ",\n";
-    out << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
     out << "  \"counts_mass_conserved\": " << (mass_ok ? "true" : "false")
         << ",\n";
     out << "  \"scaling\": {\"windows\": " << scaling_windows
@@ -457,13 +393,6 @@ int main(int argc, char** argv) {
     out << "],\n    \"ratios\": [";
     for (std::size_t i = 0; i < ratios.size(); ++i) {
       out << (i ? ", " : "") << ratios[i];
-    }
-    out << "]},\n";
-    out << "  \"shards\": {\"identical\": "
-        << (shards_identical ? "true" : "false") << ", \"points\": [";
-    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-      out << (i ? ", " : "") << "{\"shards\": " << shard_counts[i]
-          << ", \"seconds\": " << shard_seconds[i] << "}";
     }
     out << "]},\n";
     out << "  \"expected\": {\"points\": [";
@@ -498,11 +427,6 @@ int main(int argc, char** argv) {
   }
 
   bool ok = true;
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: fast path diverged from the legacy path\n");
-    ok = false;
-  }
   if (!mass_ok) {
     std::fprintf(stderr,
                  "FAIL: counts window lost or invented packets\n");
@@ -510,11 +434,6 @@ int main(int argc, char** argv) {
   }
   if (!counts_sane) {
     std::fprintf(stderr, "FAIL: counts sweep produced an empty result\n");
-    ok = false;
-  }
-  if (!shards_identical) {
-    std::fprintf(stderr,
-                 "FAIL: intra-window sharding changed the merged result\n");
     ok = false;
   }
   if (!expected_sane) {

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace palu::cli {
@@ -32,6 +34,11 @@ class Args {
 
   /// Names seen on the command line (for unknown-option diagnostics).
   std::vector<std::string> names() const;
+
+  /// Throws palu::InvalidArgument naming the first option on the command
+  /// line (in name order) that is not in `known`, so a mistyped or retired
+  /// option fails loudly instead of being silently ignored.
+  void reject_unknown(std::span<const std::string_view> known) const;
 
  private:
   std::map<std::string, std::optional<std::string>> values_;

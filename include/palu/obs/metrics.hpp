@@ -114,8 +114,8 @@ class Histogram {
 //
 // A snapshot is a plain-data copy of every registered series, sorted by
 // (name, labels) so two registries fed identical event streams produce
-// byte-identical snapshots — the property the fast-vs-legacy sweep
-// equivalence suite asserts.
+// byte-identical snapshots — the property the sweep tests' pinned metric
+// trails rely on.
 
 struct CounterSample {
   std::string name;

@@ -1,8 +1,8 @@
 // Canonical metric names for the instrumented layers.
 //
 // Every series palu emits is declared here once, so exporters, tests, and
-// dashboards agree on spelling, and the fast-vs-legacy equivalence suite
-// can enumerate exactly which families exist.  Conventions follow the
+// dashboards agree on spelling, and preregister_palu_metrics can register
+// exactly the families that exist.  Conventions follow the
 // Prometheus guidance: `palu_` prefix, `_total` suffix on counters, unit
 // suffix (`_ns`) on duration histograms, labels for low-cardinality
 // dimensions only (reader, stage, path, outcome).
@@ -38,15 +38,11 @@ inline constexpr char kSweepFailpointTrips[] =
     "palu_sweep_failpoint_trips_total";
 /// Gauge: worker count of the pool driving the most recent sweep.
 inline constexpr char kSweepPoolThreads[] = "palu_sweep_pool_threads";
-/// Gauge: sub-accumulators per window of the most recent sweep (1 =
-/// concurrent-windows mode, K = intra-window sharding).
-inline constexpr char kSweepShardsPerWindow[] =
-    "palu_sweep_shards_per_window";
-/// Counter: intra-window shard merges performed (K−1 per sharded window).
-inline constexpr char kSweepShardsMerged[] =
-    "palu_sweep_shards_merged_total";
-/// Histogram{stage=sampling|accumulation|binning, path=fast|legacy|counts}:
-/// per-worker CPU ns spent in each stage (one observation per worker).
+/// Histogram{path=fast|counts|replay, stage=sampling|accumulation|binning}:
+/// per-worker CPU ns spent in each sweep stage (one observation per
+/// worker).  evaluate_expected_window adds {path=expected,
+/// stage=sampling|accumulation}: one observation each for its visibility
+/// pass and its marginal folding.
 inline constexpr char kSweepStageDurationNs[] =
     "palu_sweep_stage_duration_ns";
 /// Histogram: end-to-end wall ns per sweep_windows call.

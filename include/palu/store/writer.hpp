@@ -31,9 +31,8 @@ namespace palu::store {
 
 /// Provenance and sink configuration for a capture.
 struct WriterOptions {
-  /// Node-id domain of the producer (graph node count); replay shard
-  /// routing reuses it, so it should match the capturing run.  Must be
-  /// >= 1.  The writer widens it at finish() to cover every appended
+  /// Node-id domain of the producer (graph node count), recorded in the
+  /// store header as provenance.  Must be >= 1.  The writer widens it at finish() to cover every appended
   /// endpoint id, so a producer that cannot know the domain up front
   /// (the serve recorder ingesting an arbitrary trace) passes 1 and
   /// lets the data set it.

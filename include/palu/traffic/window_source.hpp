@@ -31,10 +31,6 @@ class WindowSource {
   /// Number of stored windows (valid indices are [0, num_windows())).
   virtual std::size_t num_windows() const = 0;
 
-  /// Node-id domain the stored windows were produced over; replay shard
-  /// routing partitions [0, node_domain()) exactly like the original run.
-  virtual NodeId node_domain() const = 0;
-
   /// Decodes window `index` into `out` as (u,v,count) records sorted by
   /// (u, v) with forward + backward >= 1 for every record, using `buf` as
   /// reusable byte scratch.  Returns the window's valid-packet total

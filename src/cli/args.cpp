@@ -1,5 +1,6 @@
 #include "palu/cli/args.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <string_view>
 
@@ -88,6 +89,14 @@ std::vector<std::string> Args::names() const {
   out.reserve(values_.size());
   for (const auto& [name, value] : values_) out.push_back(name);
   return out;
+}
+
+void Args::reject_unknown(std::span<const std::string_view> known) const {
+  for (const std::string& name : names()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw InvalidArgument("Args: unknown option --" + name);
+    }
+  }
 }
 
 }  // namespace palu::cli

@@ -228,16 +228,17 @@ void preregister_palu_metrics(Registry& r) {
             "Window failures caused by an armed failpoint");
   r.gauge(names::kSweepPoolThreads, {},
           "Worker count of the pool driving the most recent sweep");
-  r.gauge(names::kSweepShardsPerWindow, {},
-          "Sub-accumulators per window of the most recent sweep");
-  r.counter(names::kSweepShardsMerged, {},
-            "Intra-window shard merges performed");
-  for (const char* path : {"fast", "legacy"}) {
+  for (const char* path : {"fast", "counts", "replay"}) {
     for (const char* stage : {"sampling", "accumulation", "binning"}) {
       r.histogram(names::kSweepStageDurationNs,
                   {{"path", path}, {"stage", stage}},
                   "Per-worker CPU nanoseconds spent in each sweep stage");
     }
+  }
+  for (const char* stage : {"sampling", "accumulation"}) {
+    r.histogram(names::kSweepStageDurationNs,
+                {{"path", "expected"}, {"stage", stage}},
+                "Per-worker CPU nanoseconds spent in each sweep stage");
   }
   r.histogram(names::kSweepDurationNs, {},
               "End-to-end wall nanoseconds per sweep_windows call");

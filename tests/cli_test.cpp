@@ -1,6 +1,9 @@
 // Unit tests for the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "palu/cli/args.hpp"
 #include "palu/common/error.hpp"
 
@@ -71,6 +74,21 @@ TEST(Args, NamesListsEverything) {
   EXPECT_TRUE(args.has("a"));
   EXPECT_TRUE(args.has("b"));
   EXPECT_TRUE(args.has("c"));
+}
+
+TEST(Args, RejectsUnknownOptionsByName) {
+  const auto args = parse({"--windows", "4", "--shards", "4", "--csv"});
+  constexpr std::string_view kKnown[] = {"windows", "csv", "shards"};
+  EXPECT_NO_THROW(args.reject_unknown(kKnown));
+  constexpr std::string_view kSweep[] = {"windows", "csv"};
+  try {
+    args.reject_unknown(kSweep);
+    FAIL() << "--shards is not a known option";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(parse({}).reject_unknown({}));
 }
 
 TEST(Args, EmptyEqualsValue) {

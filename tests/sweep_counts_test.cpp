@@ -25,6 +25,7 @@
 #include "palu/traffic/stream.hpp"
 #include "palu/traffic/window_accumulator.hpp"
 #include "palu/traffic/window_pipeline.hpp"
+#include "sweep_golden.hpp"
 
 namespace palu {
 namespace {
@@ -86,6 +87,22 @@ TEST(SweepCounts, DistributionallyEquivalentToPacketPath) {
     const double mt_packet = static_cast<double>(packet.merged.total());
     const double mt_counts = static_cast<double>(counts.merged.total());
     EXPECT_NEAR(mt_counts / mt_packet, 1.0, 0.05) << context;
+  }
+}
+
+// The counts path's exact output, pinned: digests computed before the
+// intra-window shard mode was retired, when every shard count K ∈ {1, 2,
+// 4, 8} produced them (sweep_golden.hpp).
+TEST(SweepCounts, MatchesGoldenDigestsAcrossQuantitiesAndSeeds) {
+  const auto g = golden::golden_graph();
+  ThreadPool pool(2);
+  for (const auto& pin : golden::kCountsPins) {
+    const auto sweep = traffic::sweep_windows(
+        g, traffic::RateModel{}, golden::kGoldenPackets,
+        golden::kGoldenWindows, pin.quantity, pin.seed, pool,
+        counts_options());
+    EXPECT_EQ(golden::sweep_digest(sweep), pin.digest)
+        << traffic::quantity_name(pin.quantity) << " seed " << pin.seed;
   }
 }
 

@@ -1,6 +1,6 @@
-// Analytic synthesis (PR 9): the expected-window path vs sampled truth,
-// plus its pipeline semantics (determinism, replicates, cancellation,
-// failure budget, metrics labels).
+// Analytic synthesis: the expected-window entry point vs sampled
+// truth, plus its semantics (determinism, counts-sweep σ bands, argument
+// checks, failure propagation, metrics labels).
 //
 // The expectation path computes E[per-bin entity count] exactly for the
 // packet quantities (Binomial marginals of the Multinomial window) and
@@ -13,10 +13,11 @@
 // seeds.  See DESIGN.md §5i.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "palu/graph/generators.hpp"
 #include "palu/graph/graph.hpp"
@@ -40,12 +41,6 @@ constexpr std::array<traffic::Quantity, 6> kEveryQuantity = {
     traffic::Quantity::kDestinationPackets,
     traffic::Quantity::kUndirectedDegree};
 
-traffic::SweepOptions expected_options() {
-  traffic::SweepOptions opts;
-  opts.synthesis = traffic::SynthesisMode::kExpected;
-  return opts;
-}
-
 TEST(SweepExpected, MatchesSampledEnsembleMeansEverywhere) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
@@ -56,15 +51,14 @@ TEST(SweepExpected, MatchesSampledEnsembleMeansEverywhere) {
     for (const auto q : kEveryQuantity) {
       const std::string context = std::string(traffic::quantity_name(q)) +
                                   " seed " + std::to_string(seed);
-      const auto expected = traffic::sweep_windows(
-          g, traffic::RateModel{}, kN, 1, q, seed, pool, expected_options());
-      ASSERT_TRUE(expected.expected.has_value()) << context;
+      const auto expected = traffic::evaluate_expected_window(
+          g, traffic::RateModel{}, kN, q, seed);
       traffic::SweepOptions sampled_opts;
       sampled_opts.synthesis = traffic::SynthesisMode::kMultinomial;
       const auto sampled = traffic::sweep_windows(
           g, traffic::RateModel{}, kN, kReplicates, q, seed, pool,
           sampled_opts);
-      const auto& mass = expected.expected->mass;
+      const auto& mass = expected.mass;
       const auto mean = sampled.ensemble.mean();
       const auto sd = sampled.ensemble.stddev();
       const std::size_t bins = std::max<std::size_t>(mean.size(),
@@ -92,16 +86,14 @@ TEST(SweepExpected, MatchesSampledEnsembleMeansEverywhere) {
 TEST(SweepExpected, AggregatesMatchSampledTableI) {
   Rng gen_rng(11);
   const auto g = graph::erdos_renyi(gen_rng, 300, 0.03);
-  ThreadPool pool(2);
   constexpr Count kN = 4000;
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, kN, 1, traffic::Quantity::kUndirectedDegree,
-      /*seed=*/23, pool, expected_options());
-  ASSERT_TRUE(sweep.expected.has_value());
-  const auto& agg = sweep.expected->aggregates;
+  const auto win = traffic::evaluate_expected_window(
+      g, traffic::RateModel{}, kN, traffic::Quantity::kUndirectedDegree,
+      /*seed=*/23);
+  const auto& agg = win.aggregates;
 
   // Closed-form cross-checks against the generator's own expectations,
-  // replaying the sweep's exact rate draw (Rng(seed).fork(0)).
+  // replaying the entry point's exact rate draw (Rng(seed).fork(0)).
   const auto edge_rates =
       traffic::make_edge_rates(g, traffic::RateModel{}, Rng(23).fork(0));
   traffic::SyntheticTrafficGenerator gen(g, edge_rates, Rng(1));
@@ -137,137 +129,99 @@ TEST(SweepExpected, AggregatesMatchSampledTableI) {
   EXPECT_NEAR(agg.max_link_packets / maxp, 1.0, 0.35);
 }
 
-TEST(SweepExpected, DeterministicAndFlatInWindowCount) {
+TEST(SweepExpected, DeterministicWithUnitMass) {
   Rng gen_rng(13);
   const auto g = graph::erdos_renyi(gen_rng, 200, 0.04);
-  ThreadPool pool(2);
   const auto q = traffic::Quantity::kSourceFanOut;
-  const auto a = traffic::sweep_windows(g, traffic::RateModel{}, 2000, 1, q,
-                                        5, pool, expected_options());
   // Same seed (the seed fixes the Pareto rate draw, which the analytic
-  // result legitimately depends on), different — even zero — window
-  // count: bit-identical, since the path consumes no per-window RNG and
-  // num_windows is deliberately not validated on it.
-  const auto b = traffic::sweep_windows(g, traffic::RateModel{}, 2000, 0, q,
-                                        5, pool, expected_options());
-  ASSERT_TRUE(a.expected.has_value());
-  ASSERT_TRUE(b.expected.has_value());
-  ASSERT_EQ(a.expected->bin_counts.size(), b.expected->bin_counts.size());
-  for (std::size_t i = 0; i < a.expected->bin_counts.size(); ++i) {
-    EXPECT_EQ(a.expected->bin_counts[i], b.expected->bin_counts[i]) << i;
+  // result legitimately depends on): bit-identical, since the path
+  // consumes no per-window RNG.
+  const auto a =
+      traffic::evaluate_expected_window(g, traffic::RateModel{}, 2000, q, 5);
+  const auto b =
+      traffic::evaluate_expected_window(g, traffic::RateModel{}, 2000, q, 5);
+  ASSERT_EQ(a.bin_counts.size(), b.bin_counts.size());
+  for (std::size_t i = 0; i < a.bin_counts.size(); ++i) {
+    EXPECT_EQ(a.bin_counts[i], b.bin_counts[i]) << i;
   }
-  EXPECT_EQ(a.expected->visible_entities, b.expected->visible_entities);
-  EXPECT_EQ(a.expected->max_value, b.expected->max_value);
-  EXPECT_EQ(a.expected->aggregates.max_link_packets,
-            b.expected->aggregates.max_link_packets);
-  // The expected mass is a unit distribution with the merged histogram
-  // deliberately left empty (nothing integer-valued to merge), and with
-  // replicates off the ensemble holds the mass as one pseudo-window.
-  EXPECT_NEAR(a.expected->mass.total_mass(), 1.0, 1e-9);
-  EXPECT_EQ(a.merged.total(), 0u);
-  EXPECT_EQ(a.ensemble.num_windows(), 1u);
-  const auto em = a.ensemble.mean();
-  for (std::size_t i = 0; i < em.size(); ++i) {
-    const double m = i < a.expected->mass.num_bins() ? a.expected->mass[i]
-                                                     : 0.0;
-    EXPECT_DOUBLE_EQ(em[i], m) << i;
-  }
+  EXPECT_EQ(a.visible_entities, b.visible_entities);
+  EXPECT_EQ(a.max_value, b.max_value);
+  EXPECT_EQ(a.aggregates.max_link_packets, b.aggregates.max_link_packets);
+  EXPECT_NEAR(a.mass.total_mass(), 1.0, 1e-9);
 }
 
+// σ bands around the analytic window are an ordinary counts sweep with
+// the same seed: its windows are sampled from the same rate draw.
 TEST(SweepExpected, ReplicatesAttachSampledConfidenceBands) {
   Rng gen_rng(17);
   const auto g = graph::erdos_renyi(gen_rng, 200, 0.04);
   ThreadPool pool(2);
-  auto opts = expected_options();
-  opts.expected_replicates = 12;
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, 2000, 1, traffic::Quantity::kLinkPackets,
-      7, pool, opts);
-  ASSERT_TRUE(sweep.expected.has_value());
-  EXPECT_EQ(sweep.ensemble.num_windows(), 12u);
-  // With real sampled windows behind it, the ensemble now carries σ > 0
-  // somewhere, and its mean must straddle the analytic mass (loose bound:
-  // this is the same law the agreement test pins tightly).
-  const auto sd = sweep.ensemble.stddev();
+  traffic::SweepOptions opts;
+  opts.synthesis = traffic::SynthesisMode::kMultinomial;
+  const auto band = traffic::sweep_windows(
+      g, traffic::RateModel{}, 2000, 12, traffic::Quantity::kLinkPackets, 7,
+      pool, opts);
+  EXPECT_EQ(band.ensemble.num_windows(), 12u);
+  // With real sampled windows behind it, the band carries σ > 0
+  // somewhere (the agreement test pins its mean against the analytic
+  // mass tightly).
+  const auto sd = band.ensemble.stddev();
   double max_sd = 0.0;
   for (const double s : sd) max_sd = std::max(max_sd, s);
   EXPECT_GT(max_sd, 0.0);
 }
 
-TEST(SweepExpected, RejectsZeroPacketsAndHonoursCancel) {
+TEST(SweepExpected, RejectsZeroPackets) {
   Rng gen_rng(19);
   const auto g = graph::erdos_renyi(gen_rng, 100, 0.05);
-  ThreadPool pool(1);
-  EXPECT_THROW(traffic::sweep_windows(g, traffic::RateModel{}, 0, 1,
-                                      traffic::Quantity::kLinkPackets, 1,
-                                      pool, expected_options()),
+  EXPECT_THROW(traffic::evaluate_expected_window(
+                   g, traffic::RateModel{}, 0,
+                   traffic::Quantity::kLinkPackets, 1),
                palu::InvalidArgument);
-  std::atomic<bool> cancel{true};
-  auto opts = expected_options();
-  opts.cancel = &cancel;
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, 1000, 1, traffic::Quantity::kLinkPackets, 1,
-      pool, opts);
-  EXPECT_TRUE(sweep.cancelled);
-  EXPECT_EQ(sweep.windows_skipped, 1u);
-  EXPECT_FALSE(sweep.expected.has_value());
 }
 
-TEST(SweepExpected, FailpointHonoursFailureBudget) {
+TEST(SweepExpected, FailpointPropagatesToCaller) {
   Rng gen_rng(23);
   const auto g = graph::erdos_renyi(gen_rng, 100, 0.05);
-  ThreadPool pool(1);
-  {
-    testing::FailpointGuard guard;
-    failpoints::arm("theory.expected_window", /*fires=*/1, /*skip=*/0);
-    try {
-      traffic::sweep_windows(g, traffic::RateModel{}, 1000, 1,
-                             traffic::Quantity::kLinkPackets, 1, pool,
-                             expected_options());
-      FAIL() << "strict expected sweep must rethrow the failure";
-    } catch (const traffic::SweepWindowError& e) {
-      EXPECT_EQ(e.window(), 0u);
-    }
+  testing::FailpointGuard guard;
+  failpoints::arm("theory.expected_window", /*fires=*/1, /*skip=*/0);
+  try {
+    traffic::evaluate_expected_window(g, traffic::RateModel{}, 1000,
+                                      traffic::Quantity::kLinkPackets, 1);
+    FAIL() << "the evaluation must rethrow the injected failure";
+  } catch (const std::exception& e) {
+    EXPECT_TRUE(failpoints::is_failpoint_error(e)) << e.what();
   }
-  {
-    testing::FailpointGuard guard;
-    failpoints::arm("theory.expected_window", /*fires=*/1, /*skip=*/0);
-    auto opts = expected_options();
-    opts.max_failed_windows = 1;
-    const auto sweep = traffic::sweep_windows(
-        g, traffic::RateModel{}, 1000, 1, traffic::Quantity::kLinkPackets,
-        1, pool, opts);
-    EXPECT_EQ(sweep.failures.size(), 1u);
-    EXPECT_FALSE(sweep.expected.has_value());
-  }
+  // One fire: the next evaluation succeeds.
+  const auto win = traffic::evaluate_expected_window(
+      g, traffic::RateModel{}, 1000, traffic::Quantity::kLinkPackets, 1);
+  EXPECT_NEAR(win.mass.total_mass(), 1.0, 1e-9);
 }
 
 TEST(SweepExpected, StageMetricsCarryExpectedPathLabel) {
   Rng gen_rng(29);
   const auto g = graph::erdos_renyi(gen_rng, 200, 0.04);
-  ThreadPool pool(1);
   obs::Registry registry;
-  auto opts = expected_options();
-  opts.metrics = &registry;
-  const auto sweep = traffic::sweep_windows(
-      g, traffic::RateModel{}, 5000, 1,
-      traffic::Quantity::kUndirectedDegree, 3, pool, opts);
-  ASSERT_TRUE(sweep.expected.has_value());
-  EXPECT_GT(sweep.timings.sampling_cpu_ns, 0u);    // prepare (visibilities)
-  EXPECT_GT(sweep.timings.accumulation_cpu_ns, 0u);  // marginal folding
-  EXPECT_GT(sweep.timings.binning_cpu_ns, 0u);     // assembly + aggregates
-  const auto snap = registry.snapshot();
-  bool saw_expected_label = false;
-  for (const auto& h : snap.histograms) {
+  traffic::evaluate_expected_window(g, traffic::RateModel{}, 5000,
+                                    traffic::Quantity::kUndirectedDegree, 3,
+                                    &registry);
+  // One observation each for the visibility pass ("sampling") and the
+  // marginal folding ("accumulation"), all under path="expected".
+  std::vector<std::string> stages;
+  for (const auto& h : registry.snapshot().histograms) {
     if (h.name != obs::names::kSweepStageDurationNs) continue;
     for (const auto& [key, value] : h.labels) {
       if (key == "path") {
         EXPECT_EQ(value, "expected");
-        saw_expected_label = true;
+      } else if (key == "stage") {
+        stages.push_back(value);
       }
     }
+    EXPECT_EQ(h.count, 1u);
+    EXPECT_GT(h.sum, 0u);
   }
-  EXPECT_TRUE(saw_expected_label);
+  std::sort(stages.begin(), stages.end());
+  EXPECT_EQ(stages, (std::vector<std::string>{"accumulation", "sampling"}));
 }
 
 }  // namespace

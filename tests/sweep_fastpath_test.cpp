@@ -1,19 +1,27 @@
-// Fast-path ↔ legacy-path equivalence for windowed sweeps (PR 2).
+// The packet sweep path against the retired legacy SparseCountMatrix path,
+// plus its resilience and observability semantics.
 //
-// The WindowAccumulator fast path must be a pure optimisation: for any
-// seed and quantity it has to produce byte-identical merged histograms,
-// BinnedEnsemble means, and d_max to the legacy SparseCountMatrix path,
-// and it must honour the same failure-budget / cancellation / timeout
-// semantics under fault injection.
+// The WindowAccumulator path replaced the legacy path as a pure
+// optimisation; the legacy path survives only as golden digests
+// (sweep_golden.hpp) and pinned metric values that the packet sweep must
+// reproduce for every seed and quantity.  The path must also honour the
+// failure-budget / cancellation / timeout semantics under fault
+// injection, and every sweep path must leave a pre-registered metrics
+// registry without new series.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "palu/graph/generators.hpp"
 #include "palu/obs/metrics.hpp"
+#include "palu/obs/names.hpp"
 #include "palu/stats/log_binning.hpp"
 #include "palu/testing/fault_injection.hpp"
 #include "palu/traffic/quantities.hpp"
@@ -21,6 +29,8 @@
 #include "palu/traffic/stream.hpp"
 #include "palu/traffic/window_accumulator.hpp"
 #include "palu/traffic/window_pipeline.hpp"
+#include "palu/traffic/window_source.hpp"
+#include "sweep_golden.hpp"
 
 namespace palu {
 namespace {
@@ -90,29 +100,14 @@ TEST(WindowAccumulator, GrowsPastInitialCapacity) {
 }
 
 TEST(SweepFastPath, ByteIdenticalToLegacyAcrossQuantitiesAndSeeds) {
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
+  const auto g = golden::golden_graph();
   ThreadPool pool(2);
-  for (const std::uint64_t seed : {3ull, 17ull, 91ull}) {
-    for (const auto q : kEveryQuantity) {
-      traffic::SweepOptions fast;
-      fast.fast_path = true;
-      traffic::SweepOptions legacy;
-      legacy.fast_path = false;
-      const auto a = traffic::sweep_windows(g, traffic::RateModel{}, 5000,
-                                            6, q, seed, pool, fast);
-      const auto b = traffic::sweep_windows(g, traffic::RateModel{}, 5000,
-                                            6, q, seed, pool, legacy);
-      const std::string context = std::string(traffic::quantity_name(q)) +
-                                  " seed " + std::to_string(seed);
-      expect_identical(a.merged, b.merged, context);
-      EXPECT_EQ(a.max_value, b.max_value) << context;
-      EXPECT_EQ(a.windows, b.windows) << context;
-      // Bit-exact, not approximately equal: the two paths must feed the
-      // Welford ensemble the same LogBinned sequence in the same order.
-      EXPECT_EQ(a.ensemble.mean(), b.ensemble.mean()) << context;
-      EXPECT_EQ(a.ensemble.stddev(), b.ensemble.stddev()) << context;
-    }
+  for (const auto& pin : golden::kPacketPins) {
+    const auto sweep = traffic::sweep_windows(
+        g, traffic::RateModel{}, golden::kGoldenPackets,
+        golden::kGoldenWindows, pin.quantity, pin.seed, pool);
+    EXPECT_EQ(golden::sweep_digest(sweep), pin.digest)
+        << traffic::quantity_name(pin.quantity) << " seed " << pin.seed;
   }
 }
 
@@ -120,10 +115,9 @@ TEST(SweepFastPath, StageTimingsArePopulated) {
   Rng gen_rng(7);
   const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
   ThreadPool pool(2);
-  traffic::SweepOptions fast;  // fast path is the default
   const auto a = traffic::sweep_windows(
       g, traffic::RateModel{}, 20000, 4,
-      traffic::Quantity::kUndirectedDegree, 5, pool, fast);
+      traffic::Quantity::kUndirectedDegree, 5, pool);
   EXPECT_GT(a.timings.sampling_cpu_ns, 0u);
   EXPECT_GT(a.timings.accumulation_cpu_ns, 0u);
   EXPECT_GT(a.timings.binning_cpu_ns, 0u);
@@ -133,50 +127,39 @@ TEST(SweepFastPath, StageTimingsArePopulated) {
   EXPECT_LE(a.timings.sampling_max_ns, a.timings.sampling_cpu_ns);
   EXPECT_LE(a.timings.accumulation_max_ns, a.timings.accumulation_cpu_ns);
   EXPECT_LE(a.timings.binning_max_ns, a.timings.binning_cpu_ns);
-  traffic::SweepOptions legacy;
-  legacy.fast_path = false;
-  const auto b = traffic::sweep_windows(
-      g, traffic::RateModel{}, 20000, 4,
-      traffic::Quantity::kUndirectedDegree, 5, pool, legacy);
-  // Legacy interleaves draws and cell counts inside window(): combined
-  // time lands in the sampling views, accumulation stays 0 by contract.
-  EXPECT_GT(b.timings.sampling_cpu_ns, 0u);
-  EXPECT_EQ(b.timings.accumulation_cpu_ns, 0u);
-  EXPECT_EQ(b.timings.accumulation_max_ns, 0u);
-  EXPECT_GT(b.timings.binning_cpu_ns, 0u);
 }
 
-// Observability half of the equivalence contract: the fast path must
-// leave the same metric trail as the legacy path.  Only counters and
-// gauges are compared — they are deterministic per (seed, workload) —
-// while stage-duration histograms are excluded by construction (their
-// labels carry path=fast|legacy and worker participation is timing-
-// dependent).
+// Observability half of the legacy contract: the packet path must leave
+// the counters and gauges the legacy path left on the golden grid (pinned
+// below; the retired shard families are gone).  Stage-duration histograms
+// are excluded by construction — worker participation is timing-
+// dependent.
 TEST(SweepFastPath, CountersAndGaugesMatchLegacyPath) {
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 600, 0.02);
+  const auto g = golden::golden_graph();
   ThreadPool pool(2);
-  const auto run = [&](std::uint64_t seed, bool fast_path) {
-    obs::Registry registry;
-    traffic::SweepOptions opts;
-    opts.fast_path = fast_path;
-    opts.metrics = &registry;
-    traffic::sweep_windows(g, traffic::RateModel{}, 5000, 6,
-                           traffic::Quantity::kUndirectedDegree, seed,
-                           pool, opts);
-    obs::RegistrySnapshot snap = registry.snapshot();
-    // Drop the path-labelled duration histograms; everything else must
-    // be byte-identical across the two paths.
-    snap.histograms.clear();
-    return snap;
+  const std::vector<obs::CounterSample> legacy_counters = {
+      {obs::names::kSweepCancelled, {}, 0},
+      {obs::names::kSweepDeadlineExpired, {}, 0},
+      {obs::names::kSweepFailpointTrips, {}, 0},
+      {obs::names::kSweepRuns, {}, 1},
+      {obs::names::kSweepWindows, {{"outcome", "completed"}}, 6},
+      {obs::names::kSweepWindows, {{"outcome", "failed"}}, 0},
+      {obs::names::kSweepWindows, {{"outcome", "skipped"}}, 0},
+  };
+  const std::vector<obs::GaugeSample> legacy_gauges = {
+      {obs::names::kSweepPoolThreads, {}, 2},
   };
   for (const std::uint64_t seed : {3ull, 17ull, 91ull}) {
-    const auto fast = run(seed, /*fast_path=*/true);
-    const auto legacy = run(seed, /*fast_path=*/false);
-    const std::string context = "seed " + std::to_string(seed);
-    EXPECT_EQ(fast.counters, legacy.counters) << context;
-    EXPECT_EQ(fast.gauges, legacy.gauges) << context;
-    EXPECT_FALSE(fast.counters.empty()) << context;
+    obs::Registry registry;
+    traffic::SweepOptions opts;
+    opts.metrics = &registry;
+    traffic::sweep_windows(g, traffic::RateModel{}, golden::kGoldenPackets,
+                           golden::kGoldenWindows,
+                           traffic::Quantity::kUndirectedDegree, seed, pool,
+                           opts);
+    const obs::RegistrySnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.counters, legacy_counters) << "seed " << seed;
+    EXPECT_EQ(snap.gauges, legacy_gauges) << "seed " << seed;
   }
 }
 
@@ -187,12 +170,11 @@ TEST(SweepFastPath, StrictFailureCarriesWindowIndex) {
   testing::FailpointGuard guard;
   testing::force_sweep_window_failure(/*fires=*/1, /*skip=*/2);
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   try {
     traffic::sweep_windows(g, traffic::RateModel{}, 1000, 6,
                            traffic::Quantity::kSourceFanOut, 42, pool,
                            opts);
-    FAIL() << "strict fast-path sweep must rethrow the window failure";
+    FAIL() << "strict packet sweep must rethrow the window failure";
   } catch (const traffic::SweepWindowError& e) {
     EXPECT_EQ(e.window(), 2u);
   }
@@ -205,7 +187,6 @@ TEST(SweepFastPath, HonoursFailureBudget) {
   testing::FailpointGuard guard;
   testing::force_sweep_window_failure(/*fires=*/2, /*skip=*/0);
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   opts.max_failed_windows = 2;
   const auto sweep = traffic::sweep_windows(
       g, traffic::RateModel{}, 1000, 8,
@@ -221,7 +202,6 @@ TEST(SweepFastPath, HonoursCancellation) {
   ThreadPool pool(2);
   std::atomic<bool> cancel{true};  // cancelled before any window starts
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   opts.cancel = &cancel;
   const auto sweep = traffic::sweep_windows(
       g, traffic::RateModel{}, 1000, 6,
@@ -236,7 +216,6 @@ TEST(SweepFastPath, HonoursTimeout) {
   const auto g = graph::erdos_renyi(gen_rng, 500, 0.01);
   ThreadPool pool(2);
   traffic::SweepOptions opts;
-  opts.fast_path = true;
   opts.timeout = std::chrono::milliseconds(1);
   // 64 windows × 500k packets cannot finish inside 1 ms; the deadline
   // must stop new windows, leaving the rest skipped (not failed).
@@ -271,6 +250,74 @@ TEST(SweepFastPath, HugeTimeoutDoesNotOverflowTheDeadline) {
     EXPECT_FALSE(sweep.cancelled) << timeout.count();
     EXPECT_EQ(sweep.windows, 4u) << timeout.count();
     EXPECT_EQ(sweep.windows_skipped, 0u) << timeout.count();
+  }
+}
+
+// In-memory capture sink doubling as a replay source, so the replay path
+// runs without a store on disk.  Fed by a counts sweep, whose exported
+// records are already one per unordered pair.
+class MemoryStore final : public traffic::WindowCaptureSink,
+                          public traffic::WindowSource {
+ public:
+  void append(std::size_t window_index, Count n_valid,
+              std::span<const traffic::EdgePacketCounts> records) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (windows_.size() <= window_index) windows_.resize(window_index + 1);
+    windows_[window_index] = {n_valid, {records.begin(), records.end()}};
+  }
+  std::size_t num_windows() const override { return windows_.size(); }
+  Count read_window(std::size_t index, std::vector<std::byte>& /*buf*/,
+                    std::vector<traffic::EdgePacketCounts>& out) override {
+    out = windows_[index].second;
+    return windows_[index].first;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::pair<Count, std::vector<traffic::EdgePacketCounts>>>
+      windows_;
+};
+
+// preregister_palu_metrics must register exactly the sweep series the
+// paths emit: running every path (packet, counts with a capture tee,
+// replay, expected) against a pre-registered registry creates no new
+// series, and every pre-registered stage series is observed by some path.
+TEST(SweepMetrics, PreregisteredRegistryGainsNoSeriesOnAnyPath) {
+  Rng gen_rng(7);
+  const auto g = graph::erdos_renyi(gen_rng, 300, 0.03);
+  ThreadPool pool(2);
+  obs::Registry registry;
+  obs::preregister_palu_metrics(registry);
+  const auto series = [&registry] {
+    const obs::RegistrySnapshot snap = registry.snapshot();
+    std::set<std::pair<std::string, obs::Labels>> out;
+    for (const auto& c : snap.counters) out.emplace(c.name, c.labels);
+    for (const auto& x : snap.gauges) out.emplace(x.name, x.labels);
+    for (const auto& h : snap.histograms) out.emplace(h.name, h.labels);
+    return out;
+  };
+  const auto before = series();
+
+  const auto q = traffic::Quantity::kUndirectedDegree;
+  traffic::SweepOptions opts;
+  opts.metrics = &registry;
+  traffic::sweep_windows(g, traffic::RateModel{}, 2000, 3, q, 5, pool, opts);
+  MemoryStore store;
+  opts.synthesis = traffic::SynthesisMode::kMultinomial;
+  opts.capture = &store;
+  traffic::sweep_windows(g, traffic::RateModel{}, 2000, 3, q, 5, pool, opts);
+  traffic::SweepOptions replay_opts;
+  replay_opts.metrics = &registry;
+  traffic::sweep_windows(store, 3, q, pool, replay_opts);
+  traffic::evaluate_expected_window(g, traffic::RateModel{}, 2000, q, 5,
+                                    &registry);
+
+  EXPECT_EQ(series(), before);
+  for (const auto& h : registry.snapshot().histograms) {
+    if (h.name != obs::names::kSweepStageDurationNs) continue;
+    std::string labels;
+    for (const auto& [key, value] : h.labels) labels += key + "=" + value + " ";
+    EXPECT_GT(h.count, 0u) << "pre-registered but never emitted: " << labels;
   }
 }
 

@@ -18,6 +18,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "palu/cli/args.hpp"
 #include "palu/palu.hpp"
@@ -26,7 +28,42 @@ namespace {
 
 using namespace palu;
 
+using Options = std::vector<std::string_view>;
+
+// Options shared by several commands: the synthetic network (plus the seed
+// that realizes it) and the ingest policy.
+const Options kNetworkOptions = {"lambda", "core",  "leaves", "alpha",
+                                 "window", "nodes", "seed"};
+const Options kIngestOptions = {"on-error", "max-bad-lines"};
+
+Options join(Options a, const Options& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Every command rejects the options it does not read (usage error, exit
+// 2, naming the option), so a typo or a retired flag fails loudly instead
+// of being silently ignored.  --metrics is read by main() for every
+// command.
+void check_options(const cli::Args& args, Options known) {
+  known.push_back("metrics");
+  args.reject_unknown(known);
+}
+
+// The synthetic PALU network the sweep-style commands run over.
+core::UnderlyingNetwork synthetic_network(const cli::Args& args,
+                                          std::uint64_t seed) {
+  const auto params = core::PaluParams::solve_hubs(
+      args.get_double("lambda", 3.0), args.get_double("core", 0.4),
+      args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
+      args.get_double("window", 1.0));
+  const auto nodes = static_cast<NodeId>(args.get_int("nodes", 50000));
+  Rng rng(seed);
+  return core::generate_underlying(params, nodes, rng);
+}
+
 int cmd_generate(const cli::Args& args) {
+  check_options(args, join(kNetworkOptions, {"packets"}));
   const auto params = core::PaluParams::solve_hubs(
       args.get_double("lambda", 3.0), args.get_double("core", 0.4),
       args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
@@ -81,6 +118,7 @@ std::vector<traffic::Packet> load_trace(const cli::Args& args) {
 }
 
 int cmd_analyze(const cli::Args& args) {
+  check_options(args, join(kIngestOptions, {"trace", "nvalid", "csv"}));
   const auto packets = load_trace(args);
   const auto n_valid =
       static_cast<Count>(args.get_int("nvalid", 50000));
@@ -149,126 +187,11 @@ traffic::Quantity parse_quantity(const std::string& name) {
                         "' (see `palu_tool help`)");
 }
 
-int cmd_sweep(const cli::Args& args) {
-  // Monte-Carlo window sweep over a synthetic PALU network: the paper's
-  // core experiment, through the library's parallel sweep path.
-  const auto params = core::PaluParams::solve_hubs(
-      args.get_double("lambda", 3.0), args.get_double("core", 0.4),
-      args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
-      args.get_double("window", 1.0));
-  const auto nodes = static_cast<NodeId>(args.get_int("nodes", 50000));
-  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
-  const auto windows =
-      static_cast<std::size_t>(args.get_int("windows", 16));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto quantity =
-      parse_quantity(args.get_string("quantity", "undirected_degree"));
-
-  traffic::SweepOptions opts;
-  // --fast-path off is the escape hatch back to the legacy per-window
-  // SparseCountMatrix path (byte-identical output, for A/B debugging).
-  const std::string fast = args.get_string("fast-path", "on");
-  if (fast == "on") {
-    opts.fast_path = true;
-  } else if (fast == "off") {
-    opts.fast_path = false;
-  } else {
-    throw InvalidArgument("--fast-path must be 'on' or 'off', got '" +
-                          fast + "'");
-  }
-  // --synthesis counts switches to count-space window draws (O(edges) per
-  // window; same law as the packet paths, different RNG consumption);
-  // --synthesis expected drops sampling entirely and evaluates the
-  // expected histogram and aggregates in closed form (--windows is then
-  // ignored; --replicates R adds sampled counts windows for σ bands).
-  const std::string synthesis = args.get_string("synthesis", "packet");
-  if (synthesis == "counts") {
-    opts.synthesis = traffic::SynthesisMode::kMultinomial;
-  } else if (synthesis == "expected") {
-    opts.synthesis = traffic::SynthesisMode::kExpected;
-  } else if (synthesis != "packet") {
-    throw InvalidArgument(
-        "--synthesis must be 'packet', 'counts' or 'expected', got '" +
-        synthesis + "'");
-  }
-  const std::int64_t replicates_arg = args.get_int("replicates", 0);
-  if (replicates_arg < 0) {
-    throw InvalidArgument("--replicates must be >= 0, got " +
-                          std::to_string(replicates_arg));
-  }
-  opts.expected_replicates = static_cast<std::size_t>(replicates_arg);
-  if (opts.expected_replicates > 0 &&
-      opts.synthesis != traffic::SynthesisMode::kExpected) {
-    throw InvalidArgument("--replicates needs --synthesis expected");
-  }
-  // --shards K > 1 turns on intra-window sharding: each window's
-  // accumulation is partitioned by node-id range across K mergeable
-  // sub-accumulators.  Byte-identical to --shards 1 for the same seed.
-  const std::int64_t shards_arg = args.get_int("shards", 1);
-  if (shards_arg < 1) {
-    throw InvalidArgument("--shards must be >= 1, got " +
-                          std::to_string(shards_arg));
-  }
-  opts.shards_per_window = static_cast<std::size_t>(shards_arg);
-  if (opts.shards_per_window > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
-  }
-
-  Rng rng(seed);
-  const auto net = core::generate_underlying(params, nodes, rng);
-  traffic::RateModel rates;
-  rates.kind = traffic::RateModel::Kind::kPareto;
-  ThreadPool pool;
-  const auto sweep =
-      traffic::sweep_windows(net.graph, rates, n_valid, windows, quantity,
-                             seed, pool, opts);
-  if (args.get_flag("csv")) {
-    io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
-                         sweep.ensemble.stddev());
-    return 0;
-  }
-  const char* path_name =
-      opts.synthesis == traffic::SynthesisMode::kExpected ? "expected"
-      : opts.synthesis == traffic::SynthesisMode::kMultinomial
-          ? "counts"
-          : (opts.fast_path || opts.shards_per_window > 1 ? "fast"
-                                                          : "legacy");
-  std::printf("sweep: %zu/%zu windows, quantity=%s, path=%s, shards=%zu\n",
-              sweep.windows,
-              opts.synthesis == traffic::SynthesisMode::kExpected ? 1
-                                                                  : windows,
-              std::string(traffic::quantity_name(quantity)).c_str(),
-              path_name, opts.shards_per_window);
-  if (sweep.expected) {
-    const auto& agg = sweep.expected->aggregates;
-    std::printf("d_max(median)=%llu visible_entities=%.1f\n",
-                static_cast<unsigned long long>(sweep.max_value),
-                sweep.expected->visible_entities);
-    std::printf("expected aggregates: valid_packets=%.0f unique_links=%.1f "
-                "unique_sources=%.1f unique_destinations=%.1f "
-                "max_link_packets=%.0f\n",
-                agg.valid_packets, agg.unique_links, agg.unique_sources,
-                agg.unique_destinations, agg.max_link_packets);
-  } else {
-    std::printf("d_max=%llu merged_total=%llu support=%zu\n",
-                static_cast<unsigned long long>(sweep.max_value),
-                static_cast<unsigned long long>(sweep.merged.total()),
-                sweep.merged.support_size());
-  }
-  std::printf("stage cpu (summed over workers): sampling=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
-  std::printf("stage max (slowest worker):      sampling=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_max_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_max_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_max_ns) / 1e6);
-  // Fit the PALU constants on the merged sweep so one `sweep --metrics`
-  // run exercises — and exports — the whole instrumented pipeline.  The
-  // expected path has no merged integer histogram to fit.
-  if (sweep.merged.total() == 0) return 0;
+// Prints the palu constants fitted on a sweep's merged histogram, so one
+// `sweep --metrics` run exercises — and exports — the whole instrumented
+// pipeline.
+void print_merged_fit(const traffic::WindowSweepResult& sweep) {
+  if (sweep.merged.total() == 0) return;
   const auto robust = core::robust_fit_palu(sweep.merged);
   if (robust.ok()) {
     std::printf("palu constants: alpha=%.4f c=%.5f mu=%.4f u=%.6f "
@@ -280,22 +203,100 @@ int cmd_sweep(const cli::Args& args) {
     std::printf("palu constants: (fit failed on every stage: %s)\n",
                 robust.error.c_str());
   }
+}
+
+// `sweep --synthesis expected`: the analytic window in closed form — no
+// sampling and no window count.  σ bands come from a counts sweep with
+// the same seed.
+int sweep_expected(const cli::Args& args) {
+  check_options(args,
+                join(kNetworkOptions, {"nvalid", "quantity", "synthesis",
+                                       "csv"}));
+  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto quantity =
+      parse_quantity(args.get_string("quantity", "undirected_degree"));
+  const auto net = synthetic_network(args, seed);
+  traffic::RateModel rates;
+  rates.kind = traffic::RateModel::Kind::kPareto;
+  const auto win = traffic::evaluate_expected_window(net.graph, rates,
+                                                     n_valid, quantity, seed);
+  if (args.get_flag("csv")) {
+    io::write_pooled_csv(std::cout, win.mass,
+                         std::vector<double>(win.mass.num_bins(), 0.0));
+    return 0;
+  }
+  const auto& agg = win.aggregates;
+  std::printf("sweep: quantity=%s, path=expected\n",
+              std::string(traffic::quantity_name(quantity)).c_str());
+  std::printf("d_max(median)=%llu visible_entities=%.1f\n",
+              static_cast<unsigned long long>(win.max_value),
+              win.visible_entities);
+  std::printf("expected aggregates: valid_packets=%.0f unique_links=%.1f "
+              "unique_sources=%.1f unique_destinations=%.1f "
+              "max_link_packets=%.0f\n",
+              agg.valid_packets, agg.unique_links, agg.unique_sources,
+              agg.unique_destinations, agg.max_link_packets);
   return 0;
 }
 
-// Shared by sweep-style commands: --shards K (>= 1) with intra-window
-// sharding turned on for K > 1.
-std::size_t parse_shards(const cli::Args& args, traffic::SweepOptions& opts) {
-  const std::int64_t shards_arg = args.get_int("shards", 1);
-  if (shards_arg < 1) {
-    throw InvalidArgument("--shards must be >= 1, got " +
-                          std::to_string(shards_arg));
+int cmd_sweep(const cli::Args& args) {
+  // Monte-Carlo window sweep over a synthetic PALU network: the paper's
+  // core experiment, through the library's parallel sweep path.
+  // --synthesis counts switches to count-space window draws (O(edges) per
+  // window; same law as the packet path, different RNG consumption).
+  const std::string synthesis = args.get_string("synthesis", "packet");
+  if (synthesis == "expected") return sweep_expected(args);
+  traffic::SweepOptions opts;
+  if (synthesis == "counts") {
+    opts.synthesis = traffic::SynthesisMode::kMultinomial;
+  } else if (synthesis != "packet") {
+    throw InvalidArgument(
+        "--synthesis must be 'packet', 'counts' or 'expected', got '" +
+        synthesis + "'");
   }
-  opts.shards_per_window = static_cast<std::size_t>(shards_arg);
-  if (opts.shards_per_window > 1) {
-    opts.shard_mode = traffic::ShardMode::kIntraWindow;
+  check_options(args,
+                join(kNetworkOptions, {"nvalid", "windows", "quantity",
+                                       "synthesis", "csv"}));
+  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
+  const auto windows =
+      static_cast<std::size_t>(args.get_int("windows", 16));
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto quantity =
+      parse_quantity(args.get_string("quantity", "undirected_degree"));
+
+  const auto net = synthetic_network(args, seed);
+  traffic::RateModel rates;
+  rates.kind = traffic::RateModel::Kind::kPareto;
+  ThreadPool pool;
+  const auto sweep =
+      traffic::sweep_windows(net.graph, rates, n_valid, windows, quantity,
+                             seed, pool, opts);
+  if (args.get_flag("csv")) {
+    io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
+                         sweep.ensemble.stddev());
+    return 0;
   }
-  return opts.shards_per_window;
+  std::printf("sweep: %zu/%zu windows, quantity=%s, path=%s\n",
+              sweep.windows, windows,
+              std::string(traffic::quantity_name(quantity)).c_str(),
+              synthesis == "counts" ? "counts" : "fast");
+  std::printf("d_max=%llu merged_total=%llu support=%zu\n",
+              static_cast<unsigned long long>(sweep.max_value),
+              static_cast<unsigned long long>(sweep.merged.total()),
+              sweep.merged.support_size());
+  std::printf("stage cpu (summed over workers): sampling=%.1fms "
+              "accumulation=%.1fms binning=%.1fms\n",
+              static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
+              static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
+              static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
+  std::printf("stage max (slowest worker):      sampling=%.1fms "
+              "accumulation=%.1fms binning=%.1fms\n",
+              static_cast<double>(sweep.timings.sampling_max_ns) / 1e6,
+              static_cast<double>(sweep.timings.accumulation_max_ns) / 1e6,
+              static_cast<double>(sweep.timings.binning_max_ns) / 1e6);
+  print_merged_fit(sweep);
+  return 0;
 }
 
 void print_store_stats(const char* what, const std::string& dir,
@@ -319,8 +320,9 @@ int cmd_capture(const cli::Args& args) {
   PALU_CHECK(!dir.empty(), "missing --store DIR");
   if (!args.get_string("trace", "").empty()) {
     // Trace mode: window a recorded trace and archive each window's pair
-    // counts.  The node domain is inferred from the trace (max id + 1) so
-    // sharded replay partitions the real id range.
+    // counts.  The store header records the node domain inferred from the
+    // trace (max id + 1).
+    check_options(args, join(kIngestOptions, {"store", "trace", "nvalid"}));
     const auto packets = load_trace(args);
     const auto n_valid =
         static_cast<Count>(args.get_int("nvalid", 50000));
@@ -351,11 +353,8 @@ int cmd_capture(const cli::Args& args) {
   // Synthesis mode: the sweep's network/window knobs, teed into the store
   // while the sweep runs.  Replaying the store later reproduces this
   // exact ensemble without a graph, rates, or RNG.
-  const auto params = core::PaluParams::solve_hubs(
-      args.get_double("lambda", 3.0), args.get_double("core", 0.4),
-      args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
-      args.get_double("window", 1.0));
-  const auto nodes = static_cast<NodeId>(args.get_int("nodes", 50000));
+  check_options(args, join(kNetworkOptions, {"store", "nvalid", "windows",
+                                             "quantity", "synthesis"}));
   const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
   const auto windows =
       static_cast<std::size_t>(args.get_int("windows", 16));
@@ -371,13 +370,10 @@ int cmd_capture(const cli::Args& args) {
         "capture --synthesis must be 'packet' or 'counts', got '" +
         synthesis + "'");
   }
-  parse_shards(args, opts);
-  Rng rng(seed);
-  const auto net = core::generate_underlying(params, nodes, rng);
+  const auto net = synthetic_network(args, seed);
   store::WriterOptions wopts;
-  // The realized network can round up past the requested node count, and
-  // replay shard routing partitions the store's domain — record what the
-  // sweep actually ran over.
+  // The realized network can round up past the requested node count;
+  // record the domain the sweep actually ran over.
   wopts.node_domain = net.graph.num_nodes();
   wopts.seed = seed;
   store::WindowStoreWriter writer(dir, wopts);
@@ -400,11 +396,16 @@ int cmd_capture(const cli::Args& args) {
 }
 
 int cmd_replay(const cli::Args& args) {
+  const bool verify = args.get_flag("verify");
+  check_options(args, join(kIngestOptions,
+                           verify ? Options{"store", "verify"}
+                                  : Options{"store", "windows", "quantity",
+                                            "csv"}));
   const std::string dir = args.get_string("store", "");
   PALU_CHECK(!dir.empty(), "missing --store DIR");
   store::WindowStoreReader reader(dir, ingest_options(args));
   report_ingest("store", reader.open_report());
-  if (args.get_flag("verify")) {
+  if (verify) {
     // Decode every stored window (checksums and payload structure are
     // verified on each read) without running the sweep.
     std::vector<std::byte> buf;
@@ -441,20 +442,17 @@ int cmd_replay(const cli::Args& args) {
                  std::to_string(reader.num_windows()) + " windows");
   const auto quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
-  traffic::SweepOptions opts;
-  const std::size_t shards = parse_shards(args, opts);
   ThreadPool pool;
-  const auto sweep =
-      traffic::sweep_windows(reader, windows, quantity, pool, opts);
+  const auto sweep = traffic::sweep_windows(reader, windows, quantity, pool,
+                                            traffic::SweepOptions{});
   if (args.get_flag("csv")) {
     io::write_pooled_csv(std::cout, stats::LogBinned(sweep.ensemble.mean()),
                          sweep.ensemble.stddev());
     return 0;
   }
-  std::printf("replay: %zu/%zu stored windows, quantity=%s, path=replay, "
-              "shards=%zu\n",
+  std::printf("replay: %zu/%zu stored windows, quantity=%s, path=replay\n",
               sweep.windows, reader.num_windows(),
-              std::string(traffic::quantity_name(quantity)).c_str(), shards);
+              std::string(traffic::quantity_name(quantity)).c_str());
   std::printf("d_max=%llu merged_total=%llu support=%zu\n",
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()),
@@ -464,24 +462,14 @@ int cmd_replay(const cli::Args& args) {
               static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
               static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
               static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
-  if (sweep.merged.total() == 0) return 0;
-  const auto robust = core::robust_fit_palu(sweep.merged);
-  if (robust.ok()) {
-    std::printf("palu constants: alpha=%.4f c=%.5f mu=%.4f u=%.6f "
-                "l=%.5f  [stage=%s]\n",
-                robust.fit.alpha, robust.fit.c, robust.fit.mu,
-                robust.fit.u, robust.fit.l,
-                std::string(fit::to_string(robust.stage)).c_str());
-  } else {
-    std::printf("palu constants: (fit failed on every stage: %s)\n",
-                robust.error.c_str());
-  }
+  print_merged_fit(sweep);
   return 0;
 }
 
 int cmd_check_metrics(const cli::Args& args) {
   // Round-trips a Prometheus exposition file through the strict format
   // validator; CI uses this to pin the exporter's output format.
+  check_options(args, {"prom"});
   const std::string path = args.get_string("prom", "");
   PALU_CHECK(!path.empty(), "missing --prom FILE");
   std::ifstream in(path);
@@ -531,6 +519,7 @@ void export_metrics(const std::string& json_path) {
 }
 
 int cmd_census(const cli::Args& args) {
+  check_options(args, join(kIngestOptions, {"trace", "nvalid"}));
   const auto packets = load_trace(args);
   const auto n_valid =
       static_cast<Count>(args.get_int("nvalid", 50000));
@@ -555,6 +544,7 @@ int cmd_census(const cli::Args& args) {
 }
 
 int cmd_graph_census(const cli::Args& args) {
+  check_options(args, join(kIngestOptions, {"graph"}));
   const std::string path = args.get_string("graph", "");
   PALU_CHECK(!path.empty(), "missing --graph FILE");
   const IngestOptions opts = ingest_options(args);
@@ -605,6 +595,7 @@ int cmd_graph_census(const cli::Args& args) {
 int cmd_zoo(const cli::Args& args) {
   // Model ranking over a degree histogram in d,count CSV form — the entry
   // point for public degree datasets.
+  check_options(args, join(kIngestOptions, {"histogram", "csv"}));
   const std::string path = args.get_string("histogram", "");
   PALU_CHECK(!path.empty(), "missing --histogram FILE");
   const IngestOptions opts = ingest_options(args);
@@ -649,6 +640,14 @@ int cmd_serve(const cli::Args& args) {
                                    std::to_string(v));
     return static_cast<std::uint64_t>(v);
   };
+  check_options(args,
+                join(kIngestOptions,
+                     {"trace", "follow", "window", "quantity", "horizon",
+                      "warm-start", "max-windows", "fit-deadline-ms",
+                      "queue", "backpressure", "checkpoint",
+                      "checkpoint-every", "restore", "snapshot",
+                      "snapshot-interval-ms", "max-restarts",
+                      "drain-deadline-ms", "poll-interval-ms", "record"}));
   serve::ServeOptions opts;
   opts.input_path = args.get_string("trace", "-");
   opts.follow = args.get_flag("follow");
@@ -690,24 +689,15 @@ int print_help() {
       "  generate --nodes N --lambda L --core C --leaves F --alpha A\n"
       "           --window P --packets K [--seed S]   write a trace\n"
       "  sweep    --windows W --nvalid N [--quantity Q] [--seed S]\n"
-      "           [--fast-path on|off]\n"
       "           [--synthesis packet|counts|expected]\n"
-      "           [--replicates R]\n"
-      "           [--shards K] [--csv]                 Monte-Carlo window\n"
+      "           [--csv]                             Monte-Carlo window\n"
       "                                               sweep over a PALU\n"
-      "                                               network (fast path\n"
-      "                                               on by default);\n"
-      "                                               --shards K>1 shards\n"
-      "                                               each window by node\n"
-      "                                               range across K merged\n"
-      "                                               sub-accumulators\n"
-      "                                               (byte-identical);\n"
-      "                                               'expected' evaluates\n"
-      "                                               the analytic window\n"
-      "                                               (no sampling, one\n"
-      "                                               deterministic pass;\n"
-      "                                               --replicates R adds\n"
-      "                                               sampled sigma bands)\n"
+      "                                               network; 'expected'\n"
+      "                                               evaluates the analytic\n"
+      "                                               window instead (no\n"
+      "                                               sampling, no --windows;\n"
+      "                                               sigma bands come from\n"
+      "                                               a 'counts' sweep)\n"
       "  capture  --store DIR [sweep options |\n"
       "           --trace FILE|- --nvalid N]           archive per-window\n"
       "                                               pair counts into a\n"
@@ -717,7 +707,7 @@ int print_help() {
       "                                               by default) or window a\n"
       "                                               recorded trace\n"
       "  replay   --store DIR [--windows W] [--quantity Q]\n"
-      "           [--shards K] [--csv] [--verify]      re-run the window\n"
+      "           [--csv] | --verify                   re-run the window\n"
       "                                               sweep from a store —\n"
       "                                               no graph, rates, or\n"
       "                                               synthesis; --verify\n"
@@ -765,7 +755,8 @@ int print_help() {
       "                                  ingest aborts once N bad lines are\n"
       "                                  exceeded (default: unlimited)\n"
       "exit codes: 0 ok, 1 runtime error, 2 usage error, 3 data/ingest\n"
-      "error, 4 estimation failed to converge\n");
+      "error, 4 estimation failed to converge; every command rejects\n"
+      "options it does not read (exit 2)\n");
   return 0;
 }
 
@@ -782,7 +773,10 @@ int dispatch(const std::string& command, const palu::cli::Args& args) {
   if (command == "graph-census") return cmd_graph_census(args);
   if (command == "serve") return cmd_serve(args);
   if (command == "check-metrics") return cmd_check_metrics(args);
-  if (command == "help") return print_help();
+  if (command == "help") {
+    check_options(args, {});
+    return print_help();
+  }
   std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
   print_help();
   return 2;
