@@ -18,8 +18,6 @@
 //     "config": {"windows", "nvalid", "nodes", "edges", "quantity",
 //                "seed", "nproc", "pool_threads"},
 //     "fast":   {"seconds", "packets_per_sec",
-//                "timings_cpu_ns": {"sampling", "accumulation", "binning"},
-//                "timings_max_ns": {... slowest worker ...},
 //                "metrics": {... obs registry snapshot for the run ...}},
 //     "counts": {... same shape ...},
 //     "speedup_counts_vs_fast": counts pps / fast pps,
@@ -39,7 +37,8 @@
 //   }
 //
 // Each run records into its own obs::Registry, so the metrics block is
-// per-run (not cumulative across paths).  The counts path consumes RNG
+// per-run (not cumulative across paths); its palu_sweep_stage_duration_ns
+// series carry the per-window stage times.  The counts path consumes RNG
 // differently, so it is held to distributional equivalence (tested in
 // sweep_counts_test) plus the exact mass check here, not byte identity;
 // the packet path's exact output is pinned by golden digests in the test
@@ -52,6 +51,7 @@
 // (the expected smoke ctest), and `--replay-only` runs just the capture →
 // replay axis (the replay smoke ctest).  Exit code is non-zero on any
 // check failure.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -71,7 +71,7 @@ using namespace palu;
 struct RunResult {
   double seconds = 0.0;
   double packets_per_sec = 0.0;
-  traffic::SweepStageTimings timings;
+  std::uint64_t sampling_ns = 0;  // sampling-stage sum over the run's windows
   stats::DegreeHistogram merged;
   std::string metrics_json;  // this run's registry, already serialized
 };
@@ -89,10 +89,18 @@ RunResult timed_sweep(Count n_valid, std::size_t windows, Sweep&& sweep) {
   out.packets_per_sec =
       static_cast<double>(n_valid) * static_cast<double>(windows) /
       out.seconds;
-  out.timings = result.timings;
   out.merged = std::move(result.merged);
+  const obs::RegistrySnapshot snap = registry.snapshot();
+  const obs::Labels::value_type sampling{"stage", "sampling"};
+  for (const auto& h : snap.histograms) {
+    if (h.name == obs::names::kSweepStageDurationNs &&
+        std::find(h.labels.begin(), h.labels.end(), sampling) !=
+            h.labels.end()) {
+      out.sampling_ns += h.sum;
+    }
+  }
   std::ostringstream metrics;
-  obs::write_json(metrics, registry.snapshot());
+  obs::write_json(metrics, snap);
   out.metrics_json = std::move(metrics).str();
   return out;
 }
@@ -155,15 +163,7 @@ void write_run_json(std::ostream& out, const char* name,
                     const RunResult& r) {
   out << "  \"" << name << "\": {\"seconds\": " << r.seconds
       << ", \"packets_per_sec\": " << r.packets_per_sec
-      << ",\n    \"timings_cpu_ns\": {\"sampling\": "
-      << r.timings.sampling_cpu_ns
-      << ", \"accumulation\": " << r.timings.accumulation_cpu_ns
-      << ", \"binning\": " << r.timings.binning_cpu_ns
-      << "},\n    \"timings_max_ns\": {\"sampling\": "
-      << r.timings.sampling_max_ns
-      << ", \"accumulation\": " << r.timings.accumulation_max_ns
-      << ", \"binning\": " << r.timings.binning_max_ns
-      << "},\n    \"metrics\": " << indent_block(r.metrics_json)
+      << ",\n    \"metrics\": " << indent_block(r.metrics_json)
       << "},\n";
 }
 
@@ -343,9 +343,8 @@ int main(int argc, char** argv) {
     // whole-sweep wall ratio is reported alongside it.  In --replay-only
     // mode the capturing run is the synthesis baseline.
     const auto& synth = replay_only ? captured : counts;
-    replay_speedup =
-        static_cast<double>(synth.timings.sampling_cpu_ns) /
-        static_cast<double>(replay.timings.sampling_cpu_ns);
+    replay_speedup = static_cast<double>(synth.sampling_ns) /
+                     static_cast<double>(replay.sampling_ns);
     replay_sweep_ratio = synth.seconds / replay.seconds;
     const double sweep_ratio = replay_sweep_ratio;
     std::printf("replay: %.3fs (%.2fM packets/s, %.2fms/window), "
@@ -355,9 +354,9 @@ int main(int argc, char** argv) {
                 replay_identical ? "true" : "false");
     std::printf("per-window synthesis %.2fms vs replay read %.2fms: "
                 "%.1fx (whole sweep: %.1fx)\n",
-                static_cast<double>(synth.timings.sampling_cpu_ns) / 1e6 /
+                static_cast<double>(synth.sampling_ns) / 1e6 /
                     static_cast<double>(windows),
-                static_cast<double>(replay.timings.sampling_cpu_ns) / 1e6 /
+                static_cast<double>(replay.sampling_ns) / 1e6 /
                     static_cast<double>(windows),
                 replay_speedup, sweep_ratio);
   }

@@ -30,6 +30,11 @@ class Args {
   std::int64_t get_int(const std::string& name,
                        std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
+  /// A count flag: get_int, then throws palu::InvalidArgument unless the
+  /// value is >= `min` (min >= 0), so a negative can never wrap to a huge
+  /// unsigned (--windows -1 -> 2^64-1) and sail past later bounds.
+  std::uint64_t get_count(const std::string& name, std::int64_t fallback,
+                          std::int64_t min) const;
   bool get_flag(const std::string& name) const;
 
   /// Names seen on the command line (for unknown-option diagnostics).

@@ -39,8 +39,9 @@ inline constexpr char kSweepFailpointTrips[] =
 /// Gauge: worker count of the pool driving the most recent sweep.
 inline constexpr char kSweepPoolThreads[] = "palu_sweep_pool_threads";
 /// Histogram{path=fast|counts|replay, stage=sampling|accumulation|binning}:
-/// per-worker CPU ns spent in each sweep stage (one observation per
-/// worker).  evaluate_expected_window adds {path=expected,
+/// CPU ns each successful window spent in each sweep stage (one
+/// observation per window; failed windows record nothing).
+/// evaluate_expected_window adds {path=expected,
 /// stage=sampling|accumulation}: one observation each for its visibility
 /// pass and its marginal folding.
 inline constexpr char kSweepStageDurationNs[] =

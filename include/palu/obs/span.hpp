@@ -3,11 +3,10 @@
 // A TraceSpan reads std::chrono::steady_clock at construction and again
 // at stop()/destruction, then hands the elapsed nanoseconds to either a
 // Histogram (registry-backed latency series) or a plain uint64_t
-// accumulator (the per-worker stage totals in the sweep hot loop, where
-// even a relaxed atomic per batch would be too much).  Both clock reads
-// live in src/obs/span.cpp — the single lint-allowlisted timing TU of
-// the obs subsystem — so the determinism rule stays enforceable
-// tree-wide (DESIGN.md §5c).
+// accumulator (a caller-owned total, for scopes too hot for even a
+// relaxed atomic per span).  Both clock reads live in src/obs/span.cpp —
+// the single lint-allowlisted timing TU of the obs subsystem — so the
+// determinism rule stays enforceable tree-wide (DESIGN.md §5c).
 #pragma once
 
 #include <cstdint>

@@ -116,34 +116,15 @@ struct SweepOptions {
   /// overload rejects it: its windows are already stored.
   WindowCaptureSink* capture = nullptr;
   /// Metrics sink for sweep counters and stage-duration histograms
-  /// (palu_sweep_* families, see palu/obs/names.hpp).  nullptr routes to
+  /// (palu_sweep_* families, see palu/obs/names.hpp) — the only record of
+  /// a sweep's stage times: each successful window observes its sampling
+  /// (draws, or replay read + decode), accumulation (records into the
+  /// accumulator) and binning (histogramming + capture tee) nanoseconds
+  /// once, so every stage's count equals WindowSweepResult::windows and
+  /// its sum is the stage's CPU total.  nullptr routes to
   /// obs::default_registry(); point it at a caller-owned registry for
   /// per-run isolation (bench_sweep, the equivalence tests).
   obs::Registry* metrics = nullptr;
-};
-
-/// CPU nanoseconds per sweep stage, in two views.  `*_cpu_ns` is the sum
-/// over all workers — total compute burned, which on a multi-worker pool
-/// exceeds elapsed wall time.  `*_max_ns` is the largest single worker's
-/// total for the stage — the straggler bound, i.e. the best lower bound
-/// on the stage's wall-clock contribution this accounting can give
-/// without per-stage barriers.  (An earlier revision reported the summed
-/// values under a "wall-clock" label; both views exist so neither gets
-/// misread again.)  Sampling covers the packet draws, the Multinomial +
-/// direction-split draws, or the replayed block read + decode;
-/// accumulation covers the records' entry into the accumulator; binning
-/// covers histogramming and the capture tee.  The serial window-order
-/// reduce runs on the calling thread and is added to both binning views.
-struct SweepStageTimings {
-  // Summed across workers (total CPU time per stage).
-  std::uint64_t sampling_cpu_ns = 0;      // draws, or replay read + decode
-  std::uint64_t accumulation_cpu_ns = 0;  // records → accumulator
-  std::uint64_t binning_cpu_ns = 0;       // histogramming + reduce
-
-  // Slowest single worker per stage (straggler view).
-  std::uint64_t sampling_max_ns = 0;
-  std::uint64_t accumulation_max_ns = 0;
-  std::uint64_t binning_max_ns = 0;
 };
 
 struct WindowSweepResult {
@@ -154,7 +135,6 @@ struct WindowSweepResult {
   std::vector<WindowFailure> failures;  // tolerated per-window failures
   std::size_t windows_skipped = 0;  // not attempted (cancel / timeout)
   bool cancelled = false;           // cancel flag or timeout fired
-  SweepStageTimings timings;        // per-stage CPU sum + straggler max
 };
 
 /// Draws `num_windows` windows of `n_valid` packets each over

@@ -63,6 +63,15 @@ std::int64_t Args::get_int(const std::string& name,
   return value;
 }
 
+std::uint64_t Args::get_count(const std::string& name, std::int64_t fallback,
+                              std::int64_t min) const {
+  const std::int64_t value = get_int(name, fallback);
+  PALU_CHECK(value >= min, "--" + name + " must be >= " +
+                               std::to_string(min) + ", got " +
+                               std::to_string(value));
+  return static_cast<std::uint64_t>(value);
+}
+
 double Args::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

@@ -232,13 +232,13 @@ void preregister_palu_metrics(Registry& r) {
     for (const char* stage : {"sampling", "accumulation", "binning"}) {
       r.histogram(names::kSweepStageDurationNs,
                   {{"path", path}, {"stage", stage}},
-                  "Per-worker CPU nanoseconds spent in each sweep stage");
+                  "Per-window CPU nanoseconds spent in each sweep stage");
     }
   }
   for (const char* stage : {"sampling", "accumulation"}) {
     r.histogram(names::kSweepStageDurationNs,
                 {{"path", "expected"}, {"stage", stage}},
-                "Per-worker CPU nanoseconds spent in each sweep stage");
+                "Per-window CPU nanoseconds spent in each sweep stage");
   }
   r.histogram(names::kSweepDurationNs, {},
               "End-to-end wall nanoseconds per sweep_windows call");

@@ -1,17 +1,13 @@
-// Timing TU: steady_clock reads here feed the SweepStageTimings
-// diagnostics, the obs duration histograms, and the wall-clock timeout;
-// no analysis result (histograms, ensembles, d_max) ever depends on the
-// clock.  Listed in tools/timing_files.txt for palu_lint's determinism
-// rule.
+// Timing TU: steady_clock reads here feed the obs stage and sweep
+// duration histograms and the wall-clock timeout; no analysis result
+// (histograms, ensembles, d_max) ever depends on the clock.  Listed in
+// tools/timing_files.txt for palu_lint's determinism rule.
 #include "palu/traffic/window_pipeline.hpp"
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "palu/common/failpoint.hpp"
@@ -52,18 +48,12 @@ struct SweepScratch {
 
 constexpr std::size_t kPacketBatch = 8192;
 
-/// Plain per-stage nanosecond totals, accumulated worker-locally in the
-/// hot loop and folded into both SweepStageTimings views afterwards.
+/// One window's stage nanoseconds, observed into the stage histograms
+/// only once the window has succeeded.
 struct StageNs {
   std::uint64_t sampling = 0;
   std::uint64_t accumulation = 0;
   std::uint64_t binning = 0;
-
-  void add(const StageNs& o) noexcept {
-    sampling += o.sampling;
-    accumulation += o.accumulation;
-    binning += o.binning;
-  }
 };
 
 obs::Histogram& stage_histogram(obs::Registry& r, const char* path,
@@ -130,8 +120,7 @@ struct SweepMetrics {
 // ---------------------------------------------------------------------
 
 std::span<const EdgePacketCounts> fill_packets(SweepScratch& scratch,
-                                               Count n_valid,
-                                               StageNs& timings) {
+                                               Count n_valid, StageNs& ns) {
   scratch.acc.begin_window();
   if (scratch.buf.size() < kPacketBatch) scratch.buf.resize(kPacketBatch);
   Count left = n_valid;
@@ -145,8 +134,8 @@ std::span<const EdgePacketCounts> fill_packets(SweepScratch& scratch,
       scratch.acc.add(scratch.buf[i].src, scratch.buf[i].dst);
     }
     const auto t2 = Clock::now();
-    timings.sampling += ns_between(t0, t1);
-    timings.accumulation += ns_between(t1, t2);
+    ns.sampling += ns_between(t0, t1);
+    ns.accumulation += ns_between(t1, t2);
     left -= n;
   }
   return {};
@@ -155,37 +144,36 @@ std::span<const EdgePacketCounts> fill_packets(SweepScratch& scratch,
 /// Accumulates the record-space window staged in scratch.pairs — the
 /// shared entry of the counts and replay sources.
 std::span<const EdgePacketCounts> ingest_pairs(SweepScratch& scratch,
-                                               StageNs& timings) {
+                                               StageNs& ns) {
   const auto t0 = Clock::now();
   scratch.acc.begin_window();
   scratch.acc.ingest_counts(scratch.pairs);
-  timings.accumulation += ns_between(t0, Clock::now());
+  ns.accumulation += ns_between(t0, Clock::now());
   return scratch.pairs;
 }
 
 std::span<const EdgePacketCounts> fill_counts(SweepScratch& scratch,
-                                              Count n_valid,
-                                              StageNs& timings) {
+                                              Count n_valid, StageNs& ns) {
   const auto t0 = Clock::now();
   scratch.gen->next_window_counts(n_valid, scratch.pairs);
-  timings.sampling += ns_between(t0, Clock::now());
-  return ingest_pairs(scratch, timings);
+  ns.sampling += ns_between(t0, Clock::now());
+  return ingest_pairs(scratch, ns);
 }
 
 std::span<const EdgePacketCounts> fill_replay(WindowSource& source,
                                               std::size_t window,
                                               SweepScratch& scratch,
-                                              StageNs& timings) {
+                                              StageNs& ns) {
   const auto t0 = Clock::now();
   source.read_window(window, scratch.io_buf, scratch.pairs);
-  timings.sampling += ns_between(t0, Clock::now());
-  return ingest_pairs(scratch, timings);
+  ns.sampling += ns_between(t0, Clock::now());
+  return ingest_pairs(scratch, ns);
 }
 
 /// The sampled sweep core, shared by every source: window slots, the
 /// failure budget, cancel/timeout, the capture tee, stage accounting and
-/// the window-order reduce.  `fill(scratch, t, timings)` leaves window t
-/// in scratch.acc and returns its per-pair records (empty for packets).
+/// the window-order reduce.  `fill(scratch, t, ns)` leaves window t in
+/// scratch.acc and returns its per-pair records (empty for packets).
 template <typename Fill>
 WindowSweepResult sweep_core(std::size_t num_windows, Quantity quantity,
                              ThreadPool& pool, const SweepOptions& opts,
@@ -239,24 +227,17 @@ WindowSweepResult sweep_core(std::size_t num_windows, Quantity quantity,
 
   ScratchPool<SweepScratch> scratch(std::move(make_scratch));
 
-  // Per-worker stage totals, flushed once per chunk (a worker can run
-  // several chunks; map lookup + mutex per chunk is noise next to the
-  // windows inside it).  Keeping totals per worker is what makes the
-  // straggler view (`*_max_ns`) computable after the join.
-  std::mutex worker_ns_mutex;
-  std::map<std::thread::id, StageNs> worker_ns;
-
   parallel_for(pool, 0, num_windows, /*grain=*/1, [&](IndexRange range) {
-    StageNs local;
     auto lease = scratch.acquire();
     SweepScratch& sc = *lease;
     for (std::size_t t = range.begin; t < range.end; ++t) {
       if (should_stop()) break;  // leave the remaining slots unset
       try {
         PALU_FAILPOINT("traffic.sweep_window");
-        std::span<const EdgePacketCounts> records = fill(sc, t, local);
+        StageNs ns;
+        std::span<const EdgePacketCounts> records = fill(sc, t, ns);
         const auto b0 = Clock::now();
-        histograms[t] = sc.acc.histogram(quantity);
+        stats::DegreeHistogram h = sc.acc.histogram(quantity);
         if (opts.capture != nullptr) {
           // Tee the accumulated window before the reduce: record-space
           // windows hand over their records as drawn (the sink drops zero
@@ -269,7 +250,13 @@ WindowSweepResult sweep_core(std::size_t num_windows, Quantity quantity,
           }
           opts.capture->append(t, sc.acc.total(), records);
         }
-        local.binning += ns_between(b0, Clock::now());
+        histograms[t] = std::move(h);
+        ns.binning = ns_between(b0, Clock::now());
+        // One observation per successful window; a failed window records
+        // nothing, so each stage's count equals the result's `windows`.
+        metrics.stage_sampling.observe(ns.sampling);
+        metrics.stage_accumulation.observe(ns.accumulation);
+        metrics.stage_binning.observe(ns.binning);
       } catch (const std::exception& e) {
         if (failpoints::is_failpoint_error(e)) {
           failpoint_trips.fetch_add(1, std::memory_order_relaxed);
@@ -282,44 +269,29 @@ WindowSweepResult sweep_core(std::size_t num_windows, Quantity quantity,
         }
       }
     }
-    std::lock_guard<std::mutex> lock(worker_ns_mutex);
-    worker_ns[std::this_thread::get_id()].add(local);
   });
 
-  // Fold per-worker totals into both timing views and the registry's
-  // stage histograms (one observation per participating worker).
   WindowSweepResult out;
-  for (const auto& [id, ns] : worker_ns) {
-    (void)id;
-    out.timings.sampling_cpu_ns += ns.sampling;
-    out.timings.accumulation_cpu_ns += ns.accumulation;
-    out.timings.binning_cpu_ns += ns.binning;
-    out.timings.sampling_max_ns =
-        std::max(out.timings.sampling_max_ns, ns.sampling);
-    out.timings.accumulation_max_ns =
-        std::max(out.timings.accumulation_max_ns, ns.accumulation);
-    out.timings.binning_max_ns =
-        std::max(out.timings.binning_max_ns, ns.binning);
-    metrics.stage_sampling.observe(ns.sampling);
-    metrics.stage_accumulation.observe(ns.accumulation);
-    metrics.stage_binning.observe(ns.binning);
-  }
-
-  // Record window dispositions and stop causes before the strict/budget
-  // throws below, so metrics describe failed sweeps too.
-  std::size_t n_failed = 0, n_skipped = 0, n_completed = 0;
   for (std::size_t t = 0; t < num_windows; ++t) {
     if (errors[t]) {
-      ++n_failed;
+      out.failures.push_back(WindowFailure{t, std::move(*errors[t])});
     } else if (!histograms[t]) {
-      ++n_skipped;
+      ++out.windows_skipped;
     } else {
-      ++n_completed;
+      const stats::DegreeHistogram& h = *histograms[t];
+      out.max_value = std::max(out.max_value, h.max_degree());
+      out.ensemble.add(stats::LogBinned::from_histogram(h));
+      out.merged.merge(h);
+      ++out.windows;
     }
   }
-  metrics.windows_completed.inc(n_completed);
-  metrics.windows_failed.inc(n_failed);
-  metrics.windows_skipped.inc(n_skipped);
+  out.cancelled = out.windows_skipped > 0;
+
+  // Record window dispositions and stop causes before the strict/budget
+  // throw below, so metrics describe failed sweeps too.
+  metrics.windows_completed.inc(out.windows);
+  metrics.windows_failed.inc(out.failures.size());
+  metrics.windows_skipped.inc(out.windows_skipped);
   metrics.failpoint_trips.inc(
       failpoint_trips.load(std::memory_order_relaxed));
   if (cancel_seen.load(std::memory_order_relaxed)) metrics.cancelled.inc();
@@ -327,39 +299,18 @@ WindowSweepResult sweep_core(std::size_t num_windows, Quantity quantity,
     metrics.deadline_expired.inc();
   }
 
-  const auto reduce_start = Clock::now();
-  for (std::size_t t = 0; t < num_windows; ++t) {
-    if (errors[t]) {
-      if (opts.max_failed_windows == 0) {
-        throw SweepWindowError(t, *errors[t]);
-      }
-      out.failures.push_back(WindowFailure{t, std::move(*errors[t])});
-      continue;
-    }
-    if (!histograms[t]) {
-      ++out.windows_skipped;
-      continue;
-    }
-    const stats::DegreeHistogram& h = *histograms[t];
-    out.max_value = std::max(out.max_value, h.max_degree());
-    out.ensemble.add(stats::LogBinned::from_histogram(h));
-    out.merged.merge(h);
-    ++out.windows;
-  }
-  out.cancelled = out.windows_skipped > 0;
   if (out.failures.size() > opts.max_failed_windows) {
+    // Strict mode rethrows the lowest-index failure as is; a tolerant
+    // sweep names it and the exhausted budget.
     const WindowFailure& first = out.failures.front();
-    throw SweepWindowError(
-        first.window,
-        first.error + " (" + std::to_string(out.failures.size()) +
-            " windows failed, budget " +
-            std::to_string(opts.max_failed_windows) + ")");
+    std::string what = first.error;
+    if (opts.max_failed_windows > 0) {
+      what += " (" + std::to_string(out.failures.size()) +
+              " windows failed, budget " +
+              std::to_string(opts.max_failed_windows) + ")";
+    }
+    throw SweepWindowError(first.window, what);
   }
-  // The serial window-order reduce runs on this (single) thread, so its
-  // cost goes into both the CPU and straggler views of binning.
-  const std::uint64_t reduce_ns = ns_between(reduce_start, Clock::now());
-  out.timings.binning_cpu_ns += reduce_ns;
-  out.timings.binning_max_ns += reduce_ns;
   return out;
 }
 

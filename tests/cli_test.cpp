@@ -67,6 +67,16 @@ TEST(Args, RejectsBadConversions) {
   EXPECT_THROW(args.get_int("flag", 0), InvalidArgument);
 }
 
+TEST(Args, GetCountEnforcesItsMinimumBeforeTheUnsignedCast) {
+  const auto args = parse({"--windows", "-1", "--nvalid", "0", "--queue", "8"});
+  EXPECT_THROW(args.get_count("windows", 16, 0), InvalidArgument);
+  EXPECT_THROW(args.get_count("nvalid", 100, 1), InvalidArgument);
+  EXPECT_EQ(args.get_count("nvalid", 100, 0), 0u);
+  EXPECT_EQ(args.get_count("queue", 1, 1), 8u);
+  EXPECT_EQ(args.get_count("horizon", 4, 1), 4u);
+  EXPECT_THROW(args.get_count("horizon", 0, 1), InvalidArgument);
+}
+
 TEST(Args, NamesListsEverything) {
   const auto args = parse({"--a", "1", "--b=2", "--c"});
   const auto names = args.names();

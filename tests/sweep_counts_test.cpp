@@ -381,9 +381,6 @@ TEST(SweepCounts, StageMetricsCarryCountsPathLabel) {
       g, traffic::RateModel{}, 5000, 8,
       traffic::Quantity::kUndirectedDegree, 3, pool, opts);
   EXPECT_EQ(sweep.windows, 8u);
-  EXPECT_GT(sweep.timings.sampling_cpu_ns, 0u);
-  EXPECT_GT(sweep.timings.accumulation_cpu_ns, 0u);
-  EXPECT_GT(sweep.timings.binning_cpu_ns, 0u);
   const auto snap = registry.snapshot();
   bool saw_counts_label = false;
   for (const auto& h : snap.histograms) {

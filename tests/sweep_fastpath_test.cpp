@@ -111,24 +111,6 @@ TEST(SweepFastPath, ByteIdenticalToLegacyAcrossQuantitiesAndSeeds) {
   }
 }
 
-TEST(SweepFastPath, StageTimingsArePopulated) {
-  Rng gen_rng(7);
-  const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
-  ThreadPool pool(2);
-  const auto a = traffic::sweep_windows(
-      g, traffic::RateModel{}, 20000, 4,
-      traffic::Quantity::kUndirectedDegree, 5, pool);
-  EXPECT_GT(a.timings.sampling_cpu_ns, 0u);
-  EXPECT_GT(a.timings.accumulation_cpu_ns, 0u);
-  EXPECT_GT(a.timings.binning_cpu_ns, 0u);
-  // The straggler view is a max over per-worker sums of the same samples:
-  // it must be positive and can never exceed the CPU (summed) view.
-  EXPECT_GT(a.timings.sampling_max_ns, 0u);
-  EXPECT_LE(a.timings.sampling_max_ns, a.timings.sampling_cpu_ns);
-  EXPECT_LE(a.timings.accumulation_max_ns, a.timings.accumulation_cpu_ns);
-  EXPECT_LE(a.timings.binning_max_ns, a.timings.binning_cpu_ns);
-}
-
 // Observability half of the legacy contract: the packet path must leave
 // the counters and gauges the legacy path left on the golden grid (pinned
 // below; the retired shard families are gone).  Stage-duration histograms
@@ -277,6 +259,60 @@ class MemoryStore final : public traffic::WindowCaptureSink,
   std::vector<std::pair<Count, std::vector<traffic::EdgePacketCounts>>>
       windows_;
 };
+
+// Each successful window observes each of its path's three stage series
+// once, on every sampled path, so a series' count is the result's
+// `windows` and its sum the stage's CPU total; windows failed by the
+// sweep-window failpoint inside the budget add no observation.
+TEST(SweepMetrics, StageHistogramsObserveEachSuccessfulWindowOnce) {
+  Rng gen_rng(7);
+  const auto g = graph::erdos_renyi(gen_rng, 400, 0.02);
+  const auto q = traffic::Quantity::kUndirectedDegree;
+  constexpr std::size_t kWindows = 6;
+  ThreadPool pool(2);
+  MemoryStore store;
+  {
+    obs::Registry capture_registry;
+    traffic::SweepOptions opts;
+    opts.metrics = &capture_registry;
+    opts.synthesis = traffic::SynthesisMode::kMultinomial;
+    opts.capture = &store;
+    traffic::sweep_windows(g, traffic::RateModel{}, 20000, kWindows, q, 5,
+                           pool, opts);
+  }
+  for (const int failures : {0, 2}) {
+    for (const std::string path : {"fast", "counts", "replay"}) {
+      const std::string context =
+          path + " with " + std::to_string(failures) + " failed windows";
+      testing::FailpointGuard guard;
+      if (failures > 0) testing::force_sweep_window_failure(failures);
+      obs::Registry registry;
+      traffic::SweepOptions opts;
+      opts.metrics = &registry;
+      opts.max_failed_windows = static_cast<std::size_t>(failures);
+      if (path == "counts") {
+        opts.synthesis = traffic::SynthesisMode::kMultinomial;
+      }
+      const auto sweep =
+          path == "replay"
+              ? traffic::sweep_windows(store, kWindows, q, pool, opts)
+              : traffic::sweep_windows(g, traffic::RateModel{}, 20000,
+                                       kWindows, q, 5, pool, opts);
+      EXPECT_EQ(sweep.windows, kWindows - static_cast<std::size_t>(failures))
+          << context;
+      std::size_t stage_series = 0;
+      for (const auto& h : registry.snapshot().histograms) {
+        if (h.name != obs::names::kSweepStageDurationNs) continue;
+        ++stage_series;
+        const obs::Labels::value_type path_label{"path", path};
+        EXPECT_EQ(h.labels.front(), path_label) << context;
+        EXPECT_EQ(h.count, sweep.windows) << context;
+        EXPECT_GT(h.sum, 0u) << context;
+      }
+      EXPECT_EQ(stage_series, 3u) << context;
+    }
+  }
+}
 
 // preregister_palu_metrics must register exactly the sweep series the
 // paths emit: running every path (packet, counts with a capture tee,

@@ -57,7 +57,7 @@ core::UnderlyingNetwork synthetic_network(const cli::Args& args,
       args.get_double("lambda", 3.0), args.get_double("core", 0.4),
       args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
       args.get_double("window", 1.0));
-  const auto nodes = static_cast<NodeId>(args.get_int("nodes", 50000));
+  const NodeId nodes = args.get_count("nodes", 50000, 1);
   Rng rng(seed);
   return core::generate_underlying(params, nodes, rng);
 }
@@ -68,10 +68,8 @@ int cmd_generate(const cli::Args& args) {
       args.get_double("lambda", 3.0), args.get_double("core", 0.4),
       args.get_double("leaves", 0.25), args.get_double("alpha", 2.1),
       args.get_double("window", 1.0));
-  const auto nodes =
-      static_cast<NodeId>(args.get_int("nodes", 50000));
-  const auto packets =
-      static_cast<Count>(args.get_int("packets", 200000));
+  const NodeId nodes = args.get_count("nodes", 50000, 1);
+  const Count packets = args.get_count("packets", 200000, 0);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const auto net = core::generate_underlying(params, nodes, rng);
   traffic::RateModel rates;
@@ -120,8 +118,7 @@ std::vector<traffic::Packet> load_trace(const cli::Args& args) {
 int cmd_analyze(const cli::Args& args) {
   check_options(args, join(kIngestOptions, {"trace", "nvalid", "csv"}));
   const auto packets = load_trace(args);
-  const auto n_valid =
-      static_cast<Count>(args.get_int("nvalid", 50000));
+  const Count n_valid = args.get_count("nvalid", 50000, 1);
   PALU_CHECK(packets.size() >= n_valid,
              "trace smaller than one window");
   stats::BinnedEnsemble ensemble;
@@ -205,6 +202,21 @@ void print_merged_fit(const traffic::WindowSweepResult& sweep) {
   }
 }
 
+// Prints a sweep's stage CPU totals — the sums of the per-window
+// palu_sweep_stage_duration_ns{path} observations the sweep recorded into
+// the default registry.  Replay prints its sampling stage as `read`.
+void print_stage_cpu(const char* path, const char* sampling_label) {
+  const auto ms = [path](const char* stage) {
+    const obs::Histogram& h = obs::default_registry().histogram(
+        obs::names::kSweepStageDurationNs, {{"path", path}, {"stage", stage}});
+    return static_cast<double>(h.sum()) / 1e6;
+  };
+  std::printf("stage cpu (summed over workers): %s=%.1fms "
+              "accumulation=%.1fms binning=%.1fms\n",
+              sampling_label, ms("sampling"), ms("accumulation"),
+              ms("binning"));
+}
+
 // `sweep --synthesis expected`: the analytic window in closed form — no
 // sampling and no window count.  σ bands come from a counts sweep with
 // the same seed.
@@ -212,7 +224,7 @@ int sweep_expected(const cli::Args& args) {
   check_options(args,
                 join(kNetworkOptions, {"nvalid", "quantity", "synthesis",
                                        "csv"}));
-  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
+  const Count n_valid = args.get_count("nvalid", 100000, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
@@ -258,9 +270,8 @@ int cmd_sweep(const cli::Args& args) {
   check_options(args,
                 join(kNetworkOptions, {"nvalid", "windows", "quantity",
                                        "synthesis", "csv"}));
-  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
-  const auto windows =
-      static_cast<std::size_t>(args.get_int("windows", 16));
+  const Count n_valid = args.get_count("nvalid", 100000, 1);
+  const std::size_t windows = args.get_count("windows", 16, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
@@ -277,24 +288,15 @@ int cmd_sweep(const cli::Args& args) {
                          sweep.ensemble.stddev());
     return 0;
   }
+  const char* path = synthesis == "counts" ? "counts" : "fast";
   std::printf("sweep: %zu/%zu windows, quantity=%s, path=%s\n",
               sweep.windows, windows,
-              std::string(traffic::quantity_name(quantity)).c_str(),
-              synthesis == "counts" ? "counts" : "fast");
+              std::string(traffic::quantity_name(quantity)).c_str(), path);
   std::printf("d_max=%llu merged_total=%llu support=%zu\n",
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()),
               sweep.merged.support_size());
-  std::printf("stage cpu (summed over workers): sampling=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
-  std::printf("stage max (slowest worker):      sampling=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_max_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_max_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_max_ns) / 1e6);
+  print_stage_cpu(path, "sampling");
   print_merged_fit(sweep);
   return 0;
 }
@@ -324,8 +326,7 @@ int cmd_capture(const cli::Args& args) {
     // trace (max id + 1).
     check_options(args, join(kIngestOptions, {"store", "trace", "nvalid"}));
     const auto packets = load_trace(args);
-    const auto n_valid =
-        static_cast<Count>(args.get_int("nvalid", 50000));
+    const Count n_valid = args.get_count("nvalid", 50000, 1);
     PALU_CHECK(packets.size() >= n_valid, "trace smaller than one window");
     NodeId domain = 1;
     for (const auto& p : packets) {
@@ -355,9 +356,8 @@ int cmd_capture(const cli::Args& args) {
   // exact ensemble without a graph, rates, or RNG.
   check_options(args, join(kNetworkOptions, {"store", "nvalid", "windows",
                                              "quantity", "synthesis"}));
-  const auto n_valid = static_cast<Count>(args.get_int("nvalid", 100000));
-  const auto windows =
-      static_cast<std::size_t>(args.get_int("windows", 16));
+  const Count n_valid = args.get_count("nvalid", 100000, 1);
+  const std::size_t windows = args.get_count("windows", 16, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
@@ -429,12 +429,7 @@ int cmd_replay(const cli::Args& args) {
                 static_cast<unsigned long long>(reader.header().seed));
     return 0;
   }
-  const std::int64_t windows_arg = args.get_int("windows", 0);
-  if (windows_arg < 0) {
-    throw InvalidArgument("--windows must be >= 0, got " +
-                          std::to_string(windows_arg));
-  }
-  std::size_t windows = static_cast<std::size_t>(windows_arg);
+  std::size_t windows = args.get_count("windows", 0, 0);
   if (windows == 0) windows = reader.num_windows();
   PALU_CHECK(windows <= reader.num_windows(),
              "--windows " + std::to_string(windows) +
@@ -457,11 +452,7 @@ int cmd_replay(const cli::Args& args) {
               static_cast<unsigned long long>(sweep.max_value),
               static_cast<unsigned long long>(sweep.merged.total()),
               sweep.merged.support_size());
-  std::printf("stage cpu (summed over workers): read=%.1fms "
-              "accumulation=%.1fms binning=%.1fms\n",
-              static_cast<double>(sweep.timings.sampling_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.accumulation_cpu_ns) / 1e6,
-              static_cast<double>(sweep.timings.binning_cpu_ns) / 1e6);
+  print_stage_cpu("replay", "read");
   print_merged_fit(sweep);
   return 0;
 }
@@ -521,8 +512,7 @@ void export_metrics(const std::string& json_path) {
 int cmd_census(const cli::Args& args) {
   check_options(args, join(kIngestOptions, {"trace", "nvalid"}));
   const auto packets = load_trace(args);
-  const auto n_valid =
-      static_cast<Count>(args.get_int("nvalid", 50000));
+  const Count n_valid = args.get_count("nvalid", 50000, 1);
   PALU_CHECK(packets.size() >= n_valid,
              "trace smaller than one window");
   const std::size_t windows = packets.size() / n_valid;
@@ -628,18 +618,6 @@ int cmd_zoo(const cli::Args& args) {
 }
 
 int cmd_serve(const cli::Args& args) {
-  // Count flags are parsed signed; a negative would wrap to a huge
-  // unsigned (e.g. --window -1 -> 2^64-1) and sail past every later
-  // bound, so validate before any cast.
-  const auto get_count = [&args](const char* name, std::int64_t fallback,
-                                 std::int64_t min_value) {
-    const std::int64_t v = args.get_int(name, fallback);
-    PALU_CHECK(v >= min_value, "--" + std::string(name) +
-                                   " must be >= " +
-                                   std::to_string(min_value) + ", got " +
-                                   std::to_string(v));
-    return static_cast<std::uint64_t>(v);
-  };
   check_options(args,
                 join(kIngestOptions,
                      {"trace", "follow", "window", "quantity", "horizon",
@@ -652,25 +630,24 @@ int cmd_serve(const cli::Args& args) {
   opts.input_path = args.get_string("trace", "-");
   opts.follow = args.get_flag("follow");
   opts.ingest = ingest_options(args);
-  opts.window_packets = get_count("window", 100000, 1);
+  opts.window_packets = args.get_count("window", 100000, 1);
   opts.quantity =
       parse_quantity(args.get_string("quantity", "undirected_degree"));
-  opts.streaming.sliding_horizon =
-      static_cast<std::size_t>(get_count("horizon", 4, 1));
+  opts.streaming.sliding_horizon = args.get_count("horizon", 4, 1);
   opts.streaming.warm_start =
       args.get_string("warm-start", "on") != "off";
-  opts.max_windows = get_count("max-windows", 0, 0);
+  opts.max_windows = args.get_count("max-windows", 0, 0);
   opts.fit_deadline_ms = args.get_double("fit-deadline-ms", 0.0);
-  opts.queue_capacity = static_cast<std::size_t>(get_count("queue", 65536, 1));
+  opts.queue_capacity = args.get_count("queue", 65536, 1);
   opts.backpressure =
       serve::parse_backpressure(args.get_string("backpressure", "block"));
   opts.checkpoint_path = args.get_string("checkpoint", "");
-  opts.checkpoint_every = get_count("checkpoint-every", 1, 1);
+  opts.checkpoint_every = args.get_count("checkpoint-every", 1, 1);
   opts.restore = args.get_flag("restore");
   opts.snapshot_path = args.get_string("snapshot", "");
   opts.snapshot_interval_ms =
       args.get_double("snapshot-interval-ms", 1000.0);
-  opts.max_stage_restarts = get_count("max-restarts", 5, 0);
+  opts.max_stage_restarts = args.get_count("max-restarts", 5, 0);
   opts.drain_deadline_ms = args.get_double("drain-deadline-ms", 5000.0);
   opts.poll_interval_ms = args.get_double("poll-interval-ms", 50.0);
   opts.record_path = args.get_string("record", "");
